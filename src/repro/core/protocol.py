@@ -1,18 +1,19 @@
 """The hgdb debugging protocol (paper Sec. 3.5).
 
 Debugger tools communicate with the runtime over an RPC protocol "similar
-to gdb remote protocol".  Ours is JSON-lines over TCP (the original uses
-WebSockets; see DESIGN.md substitutions — the protocol *content* is what
-matters):
+to gdb remote protocol".  Ours is the repo's one JSON-lines wire
+(:mod:`repro.wire`; the original uses WebSockets — the protocol *content*
+is what matters).  A request names a command and its args::
 
-Requests (client -> runtime)::
+    -> {"id": 1, "method": "add_breakpoint",
+        "params": {"filename": "fpu.py", "line": 42, "condition": "io.a > 3"}}
+    <- {"id": 1, "result": {"breakpoints": [...]}}
+    <- {"id": 2, "error": "'continue' only valid while stopped"}
 
-    {"id": 1, "type": "request", "command": "add_breakpoint",
-     "args": {"filename": "fpu.py", "line": 42, "condition": "io.a > 3"}}
+Events are unsolicited: ``welcome`` on connect, then ``stopped`` (the hit
+group) and ``resumed`` around every stop::
 
-Responses mirror the id; events are unsolicited::
-
-    {"type": "event", "event": "stopped", "payload": {...hit group...}}
+    <- {"event": "stopped", "payload": {"time": 12, "filename": ..., "frames": [...]}}
 
 Control commands (``continue``/``step``/``reverse_step``/
 ``reverse_continue``/``detach``) are only legal while stopped at a
@@ -22,13 +23,10 @@ are legal at any time.
 
 from __future__ import annotations
 
-import contextlib
-import json
 import queue
-import socket
-import socketserver
 import threading
 
+from .. import wire
 from .runtime import (
     Command,
     CommandKind,
@@ -56,8 +54,8 @@ def hit_to_payload(hit: HitGroup) -> dict:
     }
 
 
-class DebugServer:
-    """Serves one debugger client over TCP; bridges to a :class:`Runtime`.
+class DebugServer(wire.Server):
+    """Serves debugger clients over TCP; bridges to a :class:`Runtime`.
 
     The embedding application still owns the simulation loop; when a
     breakpoint hits, the runtime blocks inside the clock callback while this
@@ -66,72 +64,32 @@ class DebugServer:
     """
 
     def __init__(self, runtime: Runtime, host: str = "127.0.0.1", port: int = 0):
+        super().__init__(self._dispatch, host, port, name="debug")
         self.runtime = runtime
         runtime.on_hit = self._on_hit
         self._cmd_queue: queue.Queue[Command] = queue.Queue()
         self._paused = threading.Event()
-        self._shutdown = False
-        self._client_files: list = []
-        self._lock = threading.Lock()
-        outer = self
-
-        class Handler(socketserver.StreamRequestHandler):
-            def handle(self) -> None:
-                with outer._lock:
-                    outer._client_files.append(self.wfile)
-                outer._send(
-                    self.wfile,
-                    {
-                        "type": "event",
-                        "event": "welcome",
-                        "payload": {
-                            "top": outer.runtime.symtable.top_name(),
-                            "files": outer.runtime.symtable.filenames(),
-                            "can_set_time": outer.runtime.sim.can_set_time,
-                            "is_replay": outer.runtime.sim.is_replay,
-                        },
-                    },
-                )
-                try:
-                    for line in self.rfile:
-                        outer._handle_request(self.wfile, line)
-                finally:
-                    with outer._lock:
-                        if self.wfile in outer._client_files:
-                            outer._client_files.remove(self.wfile)
-
-        class Server(socketserver.ThreadingTCPServer):
-            allow_reuse_address = True
-            daemon_threads = True
-
-        self._server = Server((host, port), Handler)
-        self.address = self._server.server_address
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def start(self) -> tuple[str, int]:
-        self._thread.start()
-        return self.address
 
     def stop(self) -> None:
-        self._shutdown = True
-        if self._paused.is_set():
-            self._cmd_queue.put(Command(CommandKind.DETACH))
-        self._server.shutdown()
-        self._server.server_close()
-
-    def __enter__(self):
-        self.start()
-        return self
-
-    def __exit__(self, *exc):
-        self.stop()
-        return False
+        # Releases the runtime if it is parked at a hit, or detaches it at
+        # its next one: after stop no client is left to resume it.
+        self._cmd_queue.put(Command(CommandKind.DETACH))
+        super().stop()
 
     @property
     def paused(self) -> bool:
         return self._paused.is_set()
+
+    def on_connect(self, conn: wire.Connection) -> None:
+        conn.push(
+            "welcome",
+            {
+                "top": self.runtime.symtable.top_name(),
+                "files": self.runtime.symtable.filenames(),
+                "can_set_time": self.runtime.sim.can_set_time,
+                "is_replay": self.runtime.sim.is_replay,
+            },
+        )
 
     # -- runtime side ----------------------------------------------------------
 
@@ -139,51 +97,19 @@ class DebugServer:
         # Order matters: a fast client may send its control command the
         # instant it sees the stopped event, so `paused` must be set first.
         self._paused.set()
-        self._broadcast({"type": "event", "event": "stopped", "payload": hit_to_payload(hit)})
+        self.broadcast("stopped", hit_to_payload(hit))
         try:
-            while True:
-                try:
-                    cmd = self._cmd_queue.get(timeout=1.0)
-                    break
-                except queue.Empty:
-                    if self._shutdown:
-                        cmd = Command(CommandKind.DETACH)
-                        break
+            cmd = self._cmd_queue.get()
         finally:
             self._paused.clear()
-        self._broadcast({"type": "event", "event": "resumed", "payload": {}})
+        self.broadcast("resumed", {})
         return cmd
-
-    def _broadcast(self, msg: dict) -> None:
-        with self._lock:
-            files = list(self._client_files)
-        for f in files:
-            with contextlib.suppress(OSError):
-                self._send(f, msg)
-
-    @staticmethod
-    def _send(f, msg: dict) -> None:
-        f.write(json.dumps(msg).encode() + b"\n")
-        f.flush()
 
     # -- request handling -----------------------------------------------------------
 
-    def _handle_request(self, wfile, line: bytes) -> None:
-        try:
-            req = json.loads(line)
-            result = self._dispatch(req.get("command"), req.get("args") or {})
-            resp = {"id": req.get("id"), "type": "response", "ok": True, "result": result}
-        except Exception as exc:  # noqa: BLE001 - protocol boundary
-            resp = {
-                "id": req.get("id") if isinstance(req, dict) else None,
-                "type": "response",
-                "ok": False,
-                "error": str(exc),
-            }
-        self._send(wfile, resp)
-
-    def _dispatch(self, command: str, args: dict):
+    def _dispatch(self, _conn, command: str, args: dict | None):
         rt = self.runtime
+        args = args or {}
         if command in _CONTROL:
             if not self._paused.is_set():
                 raise DebuggerError(f"{command!r} only valid while stopped")
@@ -254,76 +180,24 @@ class DebugServer:
 class DebugClient:
     """Client side of the debugging protocol.
 
-    Events arrive on a reader thread and are queued; ``wait_stopped()``
-    blocks until the next ``stopped`` event.  Request methods are
-    synchronous.
+    Request methods are synchronous; events that arrive meanwhile are
+    queued, and ``wait_event()`` blocks until the next one of a kind.
     """
 
     def __init__(self, host: str, port: int, timeout: float = 30.0):
-        self._sock = socket.create_connection((host, port), timeout=timeout)
-        self._timeout = timeout
-        self._file = self._sock.makefile("rwb")
-        self._events: queue.Queue[dict] = queue.Queue()
-        self._responses: dict[int, dict] = {}
-        self._resp_cond = threading.Condition()
-        self._next_id = 1
-        self._closed = False
-        self.welcome: dict | None = None
-        self._reader = threading.Thread(target=self._read_loop, daemon=True)
-        self._reader.start()
+        self._wire = wire.Client(host, port, timeout)
         # The server greets immediately.
-        evt = self.wait_event("welcome", timeout=timeout)
-        self.welcome = evt["payload"]
-
-    def _read_loop(self) -> None:
-        with contextlib.suppress(OSError, ValueError):
-            for line in self._file:
-                msg = json.loads(line)
-                if msg.get("type") == "response":
-                    with self._resp_cond:
-                        self._responses[msg.get("id")] = msg
-                        self._resp_cond.notify_all()
-                else:
-                    self._events.put(msg)
-        self._closed = True
-        with self._resp_cond:
-            self._resp_cond.notify_all()
+        self.welcome: dict = self.wait_event("welcome", timeout=timeout)["payload"]
 
     def request(self, command: str, **args):
-        req_id = self._next_id
-        self._next_id += 1
-        msg = {"id": req_id, "type": "request", "command": command, "args": args}
-        self._file.write(json.dumps(msg).encode() + b"\n")
-        self._file.flush()
-        import time as _time
-
-        deadline = _time.monotonic() + self._timeout
-        with self._resp_cond:
-            while req_id not in self._responses and not self._closed:
-                if _time.monotonic() > deadline:
-                    raise TimeoutError(
-                        f"no response to {command!r} within {self._timeout}s"
-                    )
-                self._resp_cond.wait(timeout=0.1)
-            resp = self._responses.pop(req_id, None)
-        if resp is None:
-            raise ConnectionError("debug server closed the connection")
-        if not resp.get("ok"):
-            raise DebuggerError(resp.get("error", "unknown error"))
-        return resp.get("result")
+        try:
+            return self._wire.call(command, args)
+        except wire.RemoteError as exc:
+            raise DebuggerError(str(exc)) from None
 
     def wait_event(self, event: str, timeout: float = 30.0) -> dict:
         """Block until a specific event arrives (other events are dropped)."""
-        import time as _time
-
-        deadline = _time.monotonic() + timeout
-        while True:
-            remaining = deadline - _time.monotonic()
-            if remaining <= 0:
-                raise TimeoutError(f"no {event!r} event within {timeout}s")
-            msg = self._events.get(timeout=remaining)
-            if msg.get("event") == event:
-                return msg
+        return self._wire.wait_event(event, timeout)
 
     # -- sugar ------------------------------------------------------------
 
@@ -348,6 +222,4 @@ class DebugClient:
         return self.request("evaluate", expr=expr, breakpoint_id=breakpoint_id)["value"]
 
     def close(self) -> None:
-        with contextlib.suppress(OSError):
-            self._file.close()
-            self._sock.close()
+        self._wire.close()

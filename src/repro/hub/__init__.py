@@ -9,8 +9,8 @@ process per engineer.  See ``docs/hub.md``.
 The light half of the package — the :class:`SessionHandle` protocol,
 :class:`SessionOptions`, :class:`StopInfo`, :class:`LocalSession` — lives
 in :mod:`repro.hub.api` and imports eagerly (the simulator itself depends
-on it for options resolution).  The server/client halves pull in asyncio
-and sockets and load lazily.
+on it for options resolution).  The server/client halves pull in the
+socket transport (:mod:`repro.wire`) and load lazily.
 """
 
 from __future__ import annotations

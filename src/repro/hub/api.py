@@ -599,8 +599,10 @@ class LocalSession(SessionHandle):
             self.runtime.request_pause()
 
     def detach(self) -> StopInfo | None:
+        # Raised before taking the control lock: a run() in flight holds
+        # it until its stop, and the abort is what ends that run.
+        self._abort = True
         with self._ctl:
-            self._abort = True
             if self._state == "stopped":
                 self._state = "running"
                 self._cmds.put(DETACH)

@@ -9,10 +9,7 @@ against an in-process :class:`~repro.hub.api.LocalSession`.
 
 from __future__ import annotations
 
-import json
-import socket
-
-from ..shard.wire import decode_deep, encode_deep
+from .. import wire
 from .api import SessionError, SessionHandle, StopInfo
 
 
@@ -21,25 +18,13 @@ class HubClient:
 
     def __init__(self, host: str, port: int, timeout: float = 300.0):
         self.address = (host, int(port))
-        self._sock = socket.create_connection(self.address, timeout=timeout)
-        self._file = self._sock.makefile("rb")
-        self._next_id = 1
+        self._wire = wire.Client(host, int(port), timeout)
 
     def call(self, method: str, params: dict | None = None):
-        req_id, self._next_id = self._next_id, self._next_id + 1
-        req = {"id": req_id, "method": method, "params": params or {}}
-        self._sock.sendall(json.dumps(encode_deep(req)).encode() + b"\n")
-        line = self._file.readline()
-        if not line:
-            raise SessionError("hub connection closed")
-        resp = decode_deep(json.loads(line))
-        if resp.get("id") != req_id:
-            raise SessionError(
-                f"hub response id mismatch: {resp.get('id')} != {req_id}"
-            )
-        if "error" in resp:
-            raise SessionError(resp["error"])
-        return resp.get("result")
+        try:
+            return self._wire.call(method, params or {})
+        except (wire.RemoteError, ConnectionError) as exc:
+            raise SessionError(str(exc)) from None
 
     def hello(self) -> dict:
         return self.call("hello")
@@ -72,10 +57,7 @@ class HubClient:
         return bool(self.call("detach").get("detached"))
 
     def close(self) -> None:
-        try:
-            self._file.close()
-        finally:
-            self._sock.close()
+        self._wire.close()
 
     def __enter__(self) -> "HubClient":
         return self

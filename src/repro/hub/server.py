@@ -9,39 +9,39 @@ fresh value store and runtime, which is why the Nth engineer's
 time-to-first-breakpoint is dominated by their breakpoint, not by the
 compiler (``benchmarks/bench_hub.py``).
 
-Transport: newline-delimited JSON over TCP, framed with the same
-``__type__``-tagged codec as the shard event wire and the symbol table
-RPC (:mod:`repro.shard.wire`) — one request object per line, one
-response per line, matched by ``id``::
+Transport: the repo's one JSON-lines wire (:mod:`repro.wire`), with
+symbol-table records ``__type__``-tagged as on the shard event stream and
+the symbol table RPC — one request object per line, one reply per line,
+matched by ``id``::
 
     -> {"id": 1, "method": "attach", "params": {"seed": 7}}
     <- {"id": 1, "result": {"sid": 1, "kind": "live", ...}}
     -> {"id": 2, "method": "s.run", "params": {"cycles": 500}}
     <- {"id": 2, "result": {"reason": "breakpoint", "time": 12, ...}}
+    -> {"id": 3, "method": "s.cont", "params": {}}
+    <- {"id": 3, "error": "cannot resume: session is idle"}
 
 ``s.*`` methods address the session bound to the connection (one
 ``attach`` per connection; re-attach to a surviving session by ``sid``).
 Hub-level methods: ``hello``, ``attach``, ``detach``, ``list_sessions``.
 
-The asyncio loop only shuffles frames; every session operation runs in a
-worker thread (``asyncio.to_thread``), so a session blocked at a
-breakpoint never stalls the other connections.  Sessions left idle past
+Each connection has its own server thread, which runs that connection's
+session operations itself, so a session blocked at a breakpoint or in a
+long ``run`` never stalls the other connections.  Sessions left idle past
 ``idle_ttl`` are evicted by a background sweep (their simulator state is
 dropped; the design stays hot).
 """
 
 from __future__ import annotations
 
-import asyncio
 import dataclasses
-import json
 import os
 import tempfile
 import threading
 import time
 
+from .. import wire
 from ..obs import make_obs
-from ..shard.wire import decode_deep, encode_deep
 from ..sim.compiler import compile_design
 from ..symtable.writer import write_symbol_table
 from .api import SessionOptions, resolve_session_options
@@ -122,10 +122,9 @@ class DebugHub:
         self._sessions: dict[int, DebugSession] = {}
         self._next_sid = 1
         self._lock = threading.Lock()
-        self._server: asyncio.base_events.Server | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread: threading.Thread | None = None
-        self._closed = False
+        self._server: wire.Server | None = None
+        self._evictor: threading.Thread | None = None
+        self._closed = threading.Event()
         if self.obs.metrics is not None:
             self._m_active = self.obs.metrics.gauge(
                 "hub_sessions_active", "debug sessions currently attached"
@@ -237,11 +236,14 @@ class DebugHub:
             "sessions": self.session_count,
         }
 
-    def _handle_request(self, bound: list, method: str, params: dict):
-        """Serve one request (worker thread).  ``bound`` is the
-        connection's one-element session-binding cell."""
+    def _handle_request(self, conn: wire.Connection, method: str, params):
+        """Serve one request on the connection's thread; the connection's
+        ``context`` holds its bound session."""
         if self._m_requests is not None:
             self._m_requests.inc()
+        if self._closed.is_set():
+            raise HubError("hub is closed")
+        params = params or {}
         if method == "hello":
             return self._hello()
         if method == "attach":
@@ -250,131 +252,57 @@ class DebugHub:
                 session = self.get_session(int(sid))
             else:
                 session = self.attach(**params)
-            bound[0] = session
+            conn.context = session
             out = session.invoke("describe", {})
             out.update(sid=session.sid, name=session.name)
             return out
         if method == "detach":
-            session, bound[0] = bound[0], None
+            session, conn.context = conn.context, None
             if session is None:
                 return {"detached": False}
             return {"detached": self.detach(session.sid)}
         if method == "list_sessions":
             return self.list_sessions()
-        if method.startswith("s."):
-            session = bound[0]
+        if isinstance(method, str) and method.startswith("s."):
+            session = conn.context
             if session is None:
                 raise HubError("no session bound; send attach first")
             return session.invoke(method[2:], params)
         raise HubError(f"unknown hub method {method!r}")
 
-    async def _serve_connection(self, reader, writer) -> None:
-        bound: list = [None]  # the connection's attached session
-        try:
-            while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                try:
-                    req = decode_deep(json.loads(line))
-                    req_id = req.get("id")
-                    result = await asyncio.to_thread(
-                        self._handle_request,
-                        bound,
-                        req.get("method", ""),
-                        req.get("params") or {},
-                    )
-                    resp = {"id": req_id, "result": result}
-                except Exception as exc:  # noqa: BLE001 - wire boundary
-                    resp = {
-                        "id": req.get("id") if isinstance(req, dict) else None,
-                        "error": f"{exc}",
-                        "kind": type(exc).__name__,
-                    }
-                writer.write(json.dumps(encode_deep(resp)).encode() + b"\n")
-                await writer.drain()
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        except asyncio.CancelledError:
-            pass  # hub shutdown while the connection was idle
-        finally:
-            # The session survives a dropped connection (re-attach by
-            # sid); the idle sweeper reaps it if nobody comes back.
-            writer.close()
-
-    async def _evict_loop(self) -> None:
-        while True:
-            await asyncio.sleep(max(0.05, (self.idle_ttl or 1.0) / 4))
-            await asyncio.to_thread(self.evict_idle)
-
-    async def start(self) -> tuple[str, int]:
-        """Bind and start serving on the running event loop."""
-        self._loop = asyncio.get_running_loop()
-        self._server = await asyncio.start_server(
-            self._serve_connection, self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
-        if self.idle_ttl is not None:
-            self._evictor = self._loop.create_task(self._evict_loop())
-        return (self.host, self.port)
-
-    async def serve_forever(self) -> None:
-        await self.start()
-        async with self._server:
-            await self._server.serve_forever()
-
-    # -- threaded embedding ------------------------------------------------
+    def _evict_loop(self) -> None:
+        while not self._closed.wait(max(0.05, self.idle_ttl / 4)):
+            self.evict_idle()
 
     def serve_background(self) -> tuple[str, int]:
-        """Run the hub on a dedicated event-loop thread; returns the bound
-        address.  This is how tests, benchmarks, and in-process tools host
-        a hub next to their own code."""
-        started = threading.Event()
-
-        def main() -> None:
-            self._loop = asyncio.new_event_loop()
-            asyncio.set_event_loop(self._loop)
-
-            async def run() -> None:
-                await self.start()
-                started.set()
-                async with self._server:
-                    try:
-                        await self._server.serve_forever()
-                    except asyncio.CancelledError:
-                        pass
-
-            try:
-                self._loop.run_until_complete(run())
-            finally:
-                self._loop.close()
-
-        self._thread = threading.Thread(
-            target=main, daemon=True, name="repro-hub"
+        """Serve on background threads (one per connection); returns the
+        bound address.  This is how the CLI, tests, benchmarks, and
+        in-process tools host a hub next to their own code."""
+        self._server = wire.Server(
+            self._handle_request, self.host, self.port, name="hub"
         )
-        self._thread.start()
-        if not started.wait(timeout=30):
-            raise HubError("hub failed to start within 30s")
+        self.port = self._server.address[1]
+        self._server.start()
+        if self.idle_ttl is not None:
+            self._evictor = threading.Thread(
+                target=self._evict_loop, daemon=True, name="repro-hub-evict"
+            )
+            self._evictor.start()
         return (self.host, self.port)
 
     def close(self) -> None:
         """Stop serving, close every session, drop the symbol table."""
-        if self._closed:
+        if self._closed.is_set():
             return
-        self._closed = True
-        loop, server = self._loop, self._server
-        if loop is not None and server is not None and loop.is_running():
-            def stop() -> None:
-                server.close()
-                for task in asyncio.all_tasks(loop):
-                    task.cancel()
-
-            loop.call_soon_threadsafe(stop)
-        if self._thread is not None:
-            self._thread.join(timeout=10)
-            self._thread = None
+        self._closed.set()
+        if self._evictor is not None:
+            self._evictor.join()
+        # Detaching aborts every run in flight, which frees the
+        # connection threads blocked in them for the server to join.
         for sid in list(self._sessions):
             self.detach(sid)
+        if self._server is not None:
+            self._server.stop()
         try:
             os.unlink(self._symtable_path)
         except OSError:

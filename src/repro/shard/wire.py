@@ -1,10 +1,10 @@
 """The shard event wire protocol: JSON lines, one event per line.
 
-Workers stream events to the coordinator over a pipe using the same
-framing the symbol table RPC uses over TCP (``symtable/rpc.py``): every
-message is one JSON object terminated by ``\\n``, and symbol-table record
-types tunnel through the same ``__type__`` tagging, so a tool that can
-read one wire can read the other.
+Workers stream events to the coordinator over a pipe in the repo's one
+JSON-lines framing (:mod:`repro.wire`): every message is one JSON object
+terminated by ``\\n``, and symbol-table record types tunnel through the
+same ``__type__`` tagging as the symbol table RPC and the debug hub, so a
+tool that can read one wire can read the others.
 
 Event shapes (all carry ``v`` — the protocol version — and ``shard``)::
 
@@ -53,9 +53,7 @@ protocol version is unchanged.
 
 from __future__ import annotations
 
-import json
-
-from ..symtable.rpc import _decode, _encode
+from .. import wire
 from .spec import ShardResult
 
 PROTOCOL_VERSION = 1
@@ -71,42 +69,18 @@ class WireError(Exception):
 
 def encode_line(obj: dict) -> bytes:
     """One event -> one JSON line (record types tagged for decode)."""
-    return json.dumps(_encode_deep(obj)).encode() + b"\n"
+    return wire.dump_line(obj)
 
 
 def decode_line(data: bytes | str) -> dict:
     """One JSON line -> one validated event dict."""
     try:
-        obj = json.loads(data)
+        obj = wire.load_line(data)
     except ValueError as exc:
         raise WireError(f"undecodable shard event: {exc}") from exc
-    if not isinstance(obj, dict) or obj.get("event") not in _EVENTS:
+    if obj.get("event") not in _EVENTS:
         raise WireError(f"malformed shard event: {obj!r}")
-    return _decode_deep(obj)
-
-
-def _encode_deep(obj):
-    """Recursive variant of the symtable encoder: events nest dicts."""
-    if isinstance(obj, dict):
-        return {k: _encode_deep(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_encode_deep(x) for x in obj]
-    return _encode(obj)
-
-
-def _decode_deep(obj):
-    if isinstance(obj, dict) and "__type__" not in obj:
-        return {k: _decode_deep(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_decode_deep(x) for x in obj]
-    return _decode(obj)
-
-
-# Public names for the recursive codec: the debug hub's newline-JSON
-# transport (repro.hub.server) frames its messages with the same
-# __type__-tagged encoding, so hub and shard wires stay mutually readable.
-encode_deep = _encode_deep
-decode_deep = _decode_deep
+    return obj
 
 
 def _event(kind: str, shard_id: int, **fields) -> dict:

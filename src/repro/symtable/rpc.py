@@ -5,21 +5,20 @@ handing hgdb a SQLite file; "since the simulator is paused whenever hgdb
 interacts with the symbol table ... the symbol table performance is less
 important compared to the simulator interface" (Sec. 3.4).
 
-The wire format is JSON-lines over TCP: one request object per line,
-one response per line.  (The original uses WebSockets; the framing is
-irrelevant to the protocol content — see DESIGN.md substitutions.)
+The transport is the repo's one JSON-lines wire (:mod:`repro.wire`): a
+request's ``method`` is a :class:`SymbolTableInterface` method name and
+its ``params`` the positional arguments; records come back tagged with
+``__type__``.  (The original uses WebSockets; the framing is irrelevant
+to the protocol content — see DESIGN.md substitutions.)
 """
 
 from __future__ import annotations
 
-import contextlib
-import json
-import socket
-import socketserver
 import threading
 import time
 
-from .query import BreakpointRec, InstanceRec, SymbolTableInterface, VarRec
+from .. import wire
+from .query import SymbolTableInterface
 
 _METHODS = frozenset(
     {
@@ -38,27 +37,7 @@ _METHODS = frozenset(
 )
 
 
-def _encode(obj):
-    if isinstance(obj, (BreakpointRec, InstanceRec, VarRec)):
-        d = {k: getattr(obj, k) for k in obj.__dataclass_fields__}
-        d["__type__"] = type(obj).__name__
-        return d
-    if isinstance(obj, list):
-        return [_encode(x) for x in obj]
-    return obj
-
-
-def _decode(obj):
-    if isinstance(obj, list):
-        return [_decode(x) for x in obj]
-    if isinstance(obj, dict) and "__type__" in obj:
-        kind = obj.pop("__type__")
-        cls = {"BreakpointRec": BreakpointRec, "InstanceRec": InstanceRec, "VarRec": VarRec}[kind]
-        return cls(**obj)
-    return obj
-
-
-class SymbolTableServer:
+class SymbolTableServer(wire.Server):
     """Serve a symbol table over TCP JSON-lines.
 
     ``faults`` (settable any time, e.g. by a chaos-testing shard
@@ -72,71 +51,29 @@ class SymbolTableServer:
 
     def __init__(self, table: SymbolTableInterface, host: str = "127.0.0.1",
                  port: int = 0, faults=None):
+        super().__init__(self._dispatch, host, port, name="symtable")
         self.table = table
         self.faults = faults
-        outer = self
 
-        class Handler(socketserver.StreamRequestHandler):
-            def handle(self) -> None:
-                for line in self.rfile:
-                    # A non-JSON line must not kill the handler: parse
-                    # failures leave no `req` in scope, so the request id
-                    # defaults to null and the client gets a proper error
-                    # response instead of a dropped connection.
-                    req_id = None
-                    try:
-                        req = json.loads(line)
-                        if not isinstance(req, dict):
-                            raise ValueError("request must be a JSON object")
-                        req_id = req.get("id")
-                        method = req.get("method")
-                        params = req.get("params", [])
-                        if method not in _METHODS:
-                            raise ValueError(f"unknown method {method!r}")
-                        result = getattr(outer.table, method)(*params)
-                        resp = {"id": req_id, "result": _encode(result)}
-                    except Exception as exc:  # noqa: BLE001 - protocol boundary
-                        resp = {
-                            "id": req_id,
-                            "error": str(exc) or type(exc).__name__,
-                        }
-                    injector = outer.faults
-                    if injector is not None:
-                        fault = injector.decide()
-                        if fault is not None:
-                            kind, delay_s = fault
-                            if kind == "drop":
-                                # Close the connection unanswered; the
-                                # request already executed (read-only, so
-                                # a client-side replay is safe).
-                                return
-                            time.sleep(delay_s)
-                    self.wfile.write(json.dumps(resp).encode() + b"\n")
-                    self.wfile.flush()
+    def _dispatch(self, _conn, method, params):
+        if method not in _METHODS:
+            raise ValueError(f"unknown method {method!r}")
+        return getattr(self.table, method)(*(params or ()))
 
-        class Server(socketserver.ThreadingTCPServer):
-            allow_reuse_address = True
-            daemon_threads = True
-
-        self._server = Server((host, port), Handler)
-        self.address = self._server.server_address
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
-
-    def start(self) -> tuple[str, int]:
-        self._thread.start()
-        return self.address
-
-    def stop(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
-
-    def __enter__(self):
-        self.start()
-        return self
-
-    def __exit__(self, *exc):
-        self.stop()
-        return False
+    def reply(self, conn: wire.Connection, data: bytes) -> None:
+        injector = self.faults
+        if injector is not None:
+            fault = injector.decide()
+            if fault is not None:
+                kind, delay_s = fault
+                if kind == "drop":
+                    # Close the connection unanswered; the request
+                    # already executed (read-only, so a client-side
+                    # replay is safe).
+                    conn.close()
+                    return
+                self.closing.wait(delay_s)
+        conn.write(data)
 
 
 class RPCSymbolTable(SymbolTableInterface):
@@ -165,7 +102,6 @@ class RPCSymbolTable(SymbolTableInterface):
         self._max_reconnects = max_reconnects
         self._reconnect_backoff_s = reconnect_backoff_s
         self._lock = threading.Lock()
-        self._next_id = 1
         self._closed = False
         # Metric instruments are resolved once here; _call guards on a
         # single attribute so the unobserved path stays flat.
@@ -187,24 +123,13 @@ class RPCSymbolTable(SymbolTableInterface):
                 "Symbol-table RPC request latency (incl. reconnect/replay)",
                 bounds=(0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0),
             )
-        self._connect()
-
-    def _connect(self) -> None:
-        # create_connection leaves `timeout` armed on the socket, so it
-        # bounds every send/recv — the per-request timeout.
-        self._sock = socket.create_connection(
-            (self._host, self._port), timeout=self._timeout
-        )
-        self._file = self._sock.makefile("rwb")
-
-    def _drop_connection(self) -> None:
-        with contextlib.suppress(OSError):
-            self._file.close()
-            self._sock.close()
+        # The wire client's timeout bounds every send and read: the
+        # per-request timeout.
+        self._conn = wire.Client(host, port, timeout)
 
     def close(self) -> None:
         self._closed = True
-        self._drop_connection()
+        self._conn.close()
 
     def __enter__(self) -> RPCSymbolTable:
         return self
@@ -223,54 +148,38 @@ class RPCSymbolTable(SymbolTableInterface):
                 if attempt:
                     if self._m_reconnects is not None:
                         self._m_reconnects.inc()
-                    self._drop_connection()
+                    self._conn.close()
                     time.sleep(
                         self._reconnect_backoff_s * 2 ** (attempt - 1)
                     )
                     try:
-                        self._connect()
+                        self._conn = wire.Client(
+                            self._host, self._port, self._timeout
+                        )
                     except OSError as exc:
                         last_exc = exc
                         continue
                     if self._m_replays is not None:
                         self._m_replays.inc()
-                req_id = self._next_id
-                self._next_id += 1
-                msg = {"id": req_id, "method": method, "params": list(params)}
                 try:
-                    self._file.write(json.dumps(msg).encode() + b"\n")
-                    self._file.flush()
-                    line = self._file.readline()
-                    if not line:
-                        raise ConnectionError(
-                            "symbol table server closed the connection"
-                        )
-                    resp = json.loads(line)
-                except (ConnectionError, ValueError, OSError) as exc:
-                    # Transport trouble (socket.timeout is an OSError):
+                    result = self._conn.call(method, list(params))
+                except (wire.RemoteError, wire.ProtocolError) as exc:
+                    # Deterministic, so never retried: an error reply, or
+                    # a stale or misrouted reply (pairing that with this
+                    # request would corrupt every later call).
+                    raise RuntimeError(f"symbol table RPC error: {exc}") from None
+                except (ValueError, OSError) as exc:
+                    # Transport trouble (timeouts and closed connections
+                    # are OSErrors; an undecodable line a ValueError):
                     # reconnect and replay.  The dead connection cannot
                     # deliver a stale response later, so replays never
                     # mispair.
                     last_exc = exc
                     continue
-                # "error" is checked by presence, not truthiness: an empty
-                # error string is still an error, not a None result.
-                if "error" in resp:
-                    raise RuntimeError(
-                        f"symbol table RPC error: {resp['error']}"
-                    )
-                if resp.get("id") != req_id:
-                    # A stale or misrouted response must not be silently
-                    # paired with this request — that would corrupt every
-                    # later call.  Deterministic server bug: no retry.
-                    raise RuntimeError(
-                        f"symbol table RPC response id mismatch: "
-                        f"sent {req_id}, got {resp.get('id')!r}"
-                    )
                 if self._h_latency is not None:
                     self._h_latency.observe(time.monotonic() - t0)
                     self._m_requests.inc()
-                return _decode(resp.get("result"))
+                return result
             raise ConnectionError(
                 f"symbol table RPC {method!r} failed after "
                 f"{self._max_reconnects} reconnect(s): {last_exc}"

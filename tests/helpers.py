@@ -118,3 +118,59 @@ def make_runtime(design, sim, on_hit=None):
 
     st = SQLiteSymbolTable(write_symbol_table(design))
     return Runtime(sim, st, on_hit)
+
+
+#: The repo's three JSON-lines servers, by the name :func:`start_server` takes.
+SERVER_KINDS = ("symtable", "debug", "hub")
+
+
+def start_server(kind: str):
+    """Serve :class:`TwoLeaves` over one of :data:`SERVER_KINDS`.
+
+    Returns a namespace: ``address``; ``stop()``, which stops the server;
+    ``connect()``, which opens that server's own client; and ``request``
+    with ``result``, a request the server answers with that result.
+    """
+    from types import SimpleNamespace
+
+    from repro.core import DebugClient, DebugServer, Runtime
+    from repro.hub import DebugHub, HubClient
+    from repro.sim import Simulator
+    from repro.symtable import (
+        RPCSymbolTable,
+        SQLiteSymbolTable,
+        SymbolTableServer,
+        write_symbol_table,
+    )
+
+    design = repro.compile(TwoLeaves())
+    if kind == "hub":
+        hub = DebugHub(design)
+        host, port = hub.serve_background()
+        return SimpleNamespace(
+            address=(host, port),
+            stop=hub.close,
+            connect=lambda: HubClient(host, port),
+            request={"method": "hello", "params": {}},
+            result=hub._hello(),
+        )
+    table = SQLiteSymbolTable(write_symbol_table(design))
+    if kind == "symtable":
+        server = SymbolTableServer(table)
+        client_cls = RPCSymbolTable
+        request = {"method": "attribute", "params": ["top"]}
+        result = table.attribute("top")
+    else:
+        sim = Simulator(design.low)
+        server = DebugServer(Runtime(sim, table))
+        client_cls = DebugClient
+        request = {"method": "info", "params": {"what": "time"}}
+        result = {"time": sim.get_time()}
+    server.start()
+    return SimpleNamespace(
+        address=server.address,
+        stop=server.stop,
+        connect=lambda: client_cls(*server.address),
+        request=request,
+        result=result,
+    )

@@ -1,12 +1,14 @@
 """Debug hub server: wire round-trips, re-attach, eviction, the lint
 gate, the shard endpoint, and hub-side observability."""
 
+import os
+import threading
 import time
 
 import pytest
 
 import repro
-from repro.hub import DebugHub, HubClient, SessionError, SessionOptions
+from repro.hub import DebugHub, HubClient, SessionError, SessionOptions, StopInfo
 from repro.hub.server import HubError
 from repro.lint import LintError
 from tests.helpers import Accumulator, Counter, line_of
@@ -106,6 +108,51 @@ class TestWire:
     def test_needs_compiled_design(self):
         with pytest.raises(HubError, match="repro.compile"):
             DebugHub(Counter())
+
+
+class TestThreadPerConnection:
+    def test_busy_sessions_do_not_stall_a_new_connection(self):
+        # One more long run than a min(32, cpu + 4) worker pool has
+        # threads: a hub that hands requests to such a pool queues the
+        # newcomer's hello behind runs that never end.
+        design, hub, host, port = _serve()
+        n = (os.cpu_count() or 1) + 5
+        clients = [HubClient(host, port) for _ in range(n)]
+        sessions = [c.attach() for c in clients]
+        outcomes: list = [None] * n
+
+        def run(k: int) -> None:
+            try:
+                outcomes[k] = sessions[k].run(10**12)
+            except SessionError as exc:  # the hub closed under the run
+                outcomes[k] = exc
+
+        runners = [
+            threading.Thread(target=run, args=(k,), daemon=True)
+            for k in range(n)
+        ]
+        try:
+            for t in runners:
+                t.start()
+            deadline = time.monotonic() + 30
+            while any(
+                hub.get_session(s.sid).state != "running" for s in sessions
+            ):
+                assert time.monotonic() < deadline, "runs did not start"
+                time.sleep(0.01)
+            with HubClient(host, port, timeout=2) as fresh:
+                assert fresh.hello()["sessions"] == n
+        finally:
+            hub.close()
+            for t in runners:
+                t.join(timeout=10)
+            for c in clients:
+                c.close()
+        assert not any(t.is_alive() for t in runners)
+        for out in outcomes:
+            assert isinstance(out, SessionError) or (
+                isinstance(out, StopInfo) and out.reason == "detached"
+            )
 
 
 class TestEviction:

@@ -16,7 +16,7 @@ from repro.symtable import (
     SymbolTableServer,
     write_symbol_table,
 )
-from tests.helpers import TwoLeaves, line_of
+from tests.helpers import SERVER_KINDS, TwoLeaves, line_of, start_server
 
 
 @pytest.fixture()
@@ -142,30 +142,41 @@ class TestProtocolEdgeCases:
             srv.shutdown()
             srv.server_close()
 
+    @pytest.mark.parametrize("kind", SERVER_KINDS)
     def test_malformed_line_gets_error_response_and_connection_survives(
-        self, served
+        self, kind
     ):
-        """A non-JSON request line must produce {"id": null, "error": ...}
-        — not kill the handler — and the connection keeps serving."""
-        _d, st, _cli = served
-        with SymbolTableServer(st) as server:
-            sock = socket.create_connection(server.address, timeout=5)
+        """On every server, a request line that is not a JSON object must
+        produce {"id": null, "error": ...} — not kill the handler, and not
+        reuse an earlier request's id — and the connection keeps serving."""
+        served = start_server(kind)
+        try:
+            sock = socket.create_connection(served.address, timeout=5)
             f = sock.makefile("rwb")
-            f.write(b"this is not json\n")
-            f.flush()
-            resp = json.loads(f.readline())
+
+            def exchange(data: bytes) -> dict:
+                f.write(data)
+                f.flush()
+                while True:
+                    msg = json.loads(f.readline())
+                    if "event" not in msg:  # the Sec. 3.5 welcome push
+                        return msg
+
+            resp = exchange(b"this is not json\n")
             assert resp["id"] is None
             assert resp["error"]
             # same connection still answers a valid request
-            f.write(
-                json.dumps(
-                    {"id": 7, "method": "attribute", "params": ["top"]}
-                ).encode() + b"\n"
-            )
-            f.flush()
-            resp = json.loads(f.readline())
-            assert resp == {"id": 7, "result": st.attribute("top")}
+            good = json.dumps({"id": 7, **served.request}).encode() + b"\n"
+            assert exchange(good) == {"id": 7, "result": served.result}
+            # a malformed line after it is not answered as request 7
+            for bad in (b"still not json\n", b"[1, 2, 3]\n"):
+                resp = exchange(bad)
+                assert resp["id"] is None
+                assert resp["error"]
+            assert exchange(good) == {"id": 7, "result": served.result}
             sock.close()
+        finally:
+            served.stop()
 
     def test_non_object_request_gets_error_response(self, served):
         _d, st, _cli = served
