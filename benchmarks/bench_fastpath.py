@@ -37,6 +37,7 @@ import time
 import repro
 import repro.hgf as hgf
 from repro.core import CONTINUE, Runtime
+from repro.options import SessionOptions
 from repro.sim import Simulator, numpy_available
 from repro.symtable import SQLiteSymbolTable, write_symbol_table
 
@@ -65,7 +66,7 @@ def test_fastpath_poke_speedup(compiled_suite, capsys):
     _bench, design, _st = compiled_suite[("vvadd", False)]
     sims = {}
     for fast in (True, False):
-        sim = Simulator(design.low, fast=fast)
+        sim = Simulator(design.low, options=SessionOptions(fast=fast))
         sim.reset()
         _poke_workload(sim, 2)  # warm cone caches / interpreter equally
         sims[fast] = sim
@@ -144,7 +145,7 @@ def test_fastpath_batched_multi_poke_speedup(capsys):
     design = repro.compile(_ManyInputMix(_BATCH_INPUTS))
     sims = {}
     for label, fn in (("batched", _batched_workload), ("eager", _eager_workload)):
-        sim = Simulator(design.low, fast=True)
+        sim = Simulator(design.low, options=SessionOptions(fast=True))
         sim.reset()
         fn(sim, 2)  # warm the cone caches equally
         sims[label] = (sim, fn)
@@ -154,7 +155,7 @@ def test_fastpath_batched_multi_poke_speedup(capsys):
 
     # Identical stimulus must leave both schedules in identical state, and
     # both must match the full-comb reference over the same run count.
-    ref = Simulator(design.low, fast=False)
+    ref = Simulator(design.low, options=SessionOptions(fast=False))
     ref.reset()
     _batched_workload(ref, 2)
     for _ in range(TIMING_REPS):
@@ -299,9 +300,8 @@ def test_fastpath_vectorized_store_speedup(capsys):
     vec_kind = "numpy" if numpy_available() else "array"
     sims = {}
     for kind in (vec_kind, "list"):
-        sim = Simulator(
-            design.low, snapshots=_STORE_SNAPSHOTS, fast=True, store=kind
-        )
+        opts = SessionOptions(snapshots=_STORE_SNAPSHOTS, fast=True, store=kind)
+        sim = Simulator(design.low, options=opts)
         sim.reset()
         sim.step(4)  # warm cone caches, take the first snapshots
         sims[kind] = sim
@@ -343,7 +343,7 @@ def test_fastpath_obs_disabled_overhead(compiled_suite, capsys):
     _bench, design, _st = compiled_suite[("vvadd", False)]
     sims = {}
     for mode in ("off", "metrics"):
-        sim = Simulator(design.low, fast=True, obs=mode)
+        sim = Simulator(design.low, options=SessionOptions(fast=True, obs=mode))
         sim.reset()
         _poke_workload(sim, 2)  # warm cone caches equally
         sims[mode] = sim
@@ -387,7 +387,7 @@ def test_fastpath_armed_stepping_report(capsys):
         ("fast", True, True),
         ("reference", False, False),
     ):
-        sim = Simulator(design.low, fast=fast)
+        sim = Simulator(design.low, options=SessionOptions(fast=fast))
         rt = Runtime(sim, st, lambda h: CONTINUE, compile_conditions=compiled)
         rt.attach()
         sim.reset()

@@ -22,6 +22,7 @@ import time
 import pytest
 
 from repro.core import Runtime
+from repro.options import SessionOptions
 from repro.sim import Simulator
 
 BENCH_NAMES = [
@@ -39,7 +40,7 @@ _MAX_CYCLES = 100_000
 
 def _run_once(bench, design, st, hgdb: bool, fast: bool = True) -> tuple[float, int]:
     """One measured simulation run; returns (seconds, cycles)."""
-    sim = Simulator(design.low, fast=fast)
+    sim = Simulator(design.low, options=SessionOptions(fast=fast))
     if hgdb:
         rt = Runtime(sim, st)
         rt.attach()

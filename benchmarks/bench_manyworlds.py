@@ -28,7 +28,7 @@ import os
 
 import repro
 import repro.hgf as hgf
-from repro.hub import SessionOptions
+from repro.options import SessionOptions
 from repro.sim import Simulator
 from repro.sim.compiler import compile_design
 from repro.sim.manyworlds import ManyWorldsSimulator, make_sweep_stimulus

@@ -178,7 +178,7 @@ def _cmd_shard(args) -> int:
     import json
 
     import repro
-    from .hub import SessionOptions
+    from .options import SessionOptions
     from .shard import (
         BreakpointSpec,
         RetryPolicy,

@@ -7,21 +7,21 @@ decoupled-debugger architecture at "debug service" scale instead of one
 process per engineer.  See ``docs/hub.md``.
 
 The light half of the package — the :class:`SessionHandle` protocol,
-:class:`SessionOptions`, :class:`StopInfo`, :class:`LocalSession` — lives
-in :mod:`repro.hub.api` and imports eagerly (the simulator itself depends
-on it for options resolution).  The server/client halves pull in the
-socket transport (:mod:`repro.wire`) and load lazily.
+:class:`StopInfo`, :class:`LocalSession` — lives in :mod:`repro.hub.api`
+and imports eagerly.  :class:`SessionOptions` is re-exported from
+:mod:`repro.options`, below the simulator, which never imports this
+package.  The server/client halves pull in the socket transport
+(:mod:`repro.wire`) and load lazily.
 """
 
 from __future__ import annotations
 
+from ..options import SessionOptions
 from .api import (
     LocalSession,
     SessionError,
     SessionHandle,
-    SessionOptions,
     StopInfo,
-    resolve_session_options,
 )
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "SessionHandle",
     "SessionOptions",
     "StopInfo",
-    "resolve_session_options",
     "DebugHub",
     "DebugSession",
     "HubClient",

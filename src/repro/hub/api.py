@@ -17,21 +17,16 @@ peek/poke, breakpoints, history, stats — and every backend implements it:
 
 Front ends in ``repro.client`` drive only this protocol — the same console
 works against a live simulator, a replayed trace, or a remote hub session.
-
-:class:`SessionOptions` is the one shared session configuration record
-(store / obs / strict / snapshot budget) accepted by ``Simulator``,
-``ShardSession``, and the hub server, replacing the per-constructor kwarg
-drift; the legacy keywords keep working behind a ``DeprecationWarning``
-(see :func:`resolve_session_options`).
+How a session is configured is a separate, lower-level concern:
+:class:`repro.options.SessionOptions`.
 """
 
 from __future__ import annotations
 
 import queue
 import threading
-import warnings
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 
 from ..core.runtime import (
     CONTINUE,
@@ -48,66 +43,6 @@ from ..sim.interface import SimulatorError
 
 class SessionError(Exception):
     """Raised on invalid session operations (wrong state, no capability)."""
-
-
-# -- shared session configuration ------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class SessionOptions:
-    """The one session configuration record shared across the stack.
-
-    ``Simulator``, ``ShardSession``, and the hub server all accept
-    ``options=SessionOptions(...)`` instead of re-declaring these keywords
-    with subtly different defaults.  Field semantics match the historical
-    ``Simulator`` kwargs they replace (see ``repro.sim.engine``).
-    """
-
-    store: str | None = None        #: value-store backend ($REPRO_VALUE_STORE)
-    obs: object = None              #: observability depth ($REPRO_OBS)
-    strict: object = None           #: compile-time lint gate ($REPRO_LINT)
-    fast: bool = True               #: incremental-cone settle path
-    snapshots: int = 0              #: retained history entries (0 = off)
-    snapshot_bytes: int | None = None   #: byte-bounded history retention
-    snapshot_codec: str | None = None   #: timeline delta codec (raw/rle)
-    keyframe_every: int = 0         #: periodic full keyframes
-
-
-# Legacy-kwarg deprecation is reported once per (owner, keyword-set) per
-# process: the suite constructs thousands of simulators and a warning per
-# call would drown real output without adding information.
-_LEGACY_WARNED: set[str] = set()
-
-
-def resolve_session_options(
-    options: SessionOptions | None,
-    legacy: dict,
-    owner: str,
-) -> SessionOptions:
-    """Fold explicitly-passed legacy kwargs into a :class:`SessionOptions`.
-
-    ``legacy`` holds only the keywords the caller actually supplied.  Any
-    such keyword is deprecated in favor of ``options=`` and reports a
-    :class:`DeprecationWarning` (once per owner/keyword-set per process);
-    its value still wins over the corresponding ``options`` field, so old
-    call sites keep their exact behavior.
-    """
-    known = {f.name for f in fields(SessionOptions)}
-    unknown = set(legacy) - known
-    if unknown:
-        raise TypeError(f"{owner}: unknown session option(s) {sorted(unknown)}")
-    if legacy:
-        tag = f"{owner}:{','.join(sorted(legacy))}"
-        if tag not in _LEGACY_WARNED:
-            _LEGACY_WARNED.add(tag)
-            warnings.warn(
-                f"{owner}({', '.join(sorted(legacy))}=...) is deprecated; "
-                f"pass options=SessionOptions(...) instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-    base = options if options is not None else SessionOptions()
-    return replace(base, **legacy) if legacy else base
 
 
 # -- stop reporting ---------------------------------------------------------
@@ -474,7 +409,7 @@ class LocalSession(SessionHandle):
         if timeline is None:
             raise SessionError(
                 "no timeline: this backend keeps no history (construct the "
-                "simulator with snapshots=N or snapshot_bytes=N)"
+                "simulator with SessionOptions(snapshots=N or snapshot_bytes=N))"
             )
         path = self.runtime._resolve_watch_path(name, None)
         # Bound the walk up front: each sample is one set_time hop, and a

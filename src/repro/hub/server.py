@@ -42,9 +42,9 @@ import time
 
 from .. import wire
 from ..obs import make_obs
+from ..options import SessionOptions
 from ..sim.compiler import compile_design
 from ..symtable.writer import write_symbol_table
-from .api import SessionOptions, resolve_session_options
 from .session import DebugSession
 
 PROTOCOL_VERSION = 1
@@ -60,18 +60,17 @@ class DebugHub:
     Args:
         design: a compiled :class:`repro.Design` (``repro.compile(...)``) —
             the hub needs its debug info to write the symbol table.
-        options: default :class:`SessionOptions` for every session this
-            hub creates.  ``options.strict`` also configures the hub's
-            compile-time lint gate, which — unlike a standalone
-            ``Simulator`` — defaults to ``"error"``: a design served to
-            many engineers should not compile with known-broken constructs.
+        options: the configuration of every session this hub creates; see
+            :class:`repro.options.SessionOptions`.  ``options.strict`` also
+            configures the hub's compile-time lint gate, which — unlike a
+            standalone ``Simulator`` — defaults to ``"error"``: a design
+            served to many engineers should not compile with known-broken
+            constructs.
         host/port: bind address (port 0 picks a free port).
         idle_ttl: evict sessions idle longer than this many seconds
             (None disables eviction).
         obs: hub-side observability (``repro.obs``): sessions-active
             gauge, attach count/latency, per-session cycle counter.
-        legacy session keywords (``snapshots=``, ``store=``, ...) are
-            accepted like ``Simulator``'s, with the same deprecation.
     """
 
     def __init__(
@@ -82,9 +81,9 @@ class DebugHub:
         idle_ttl: float | None = None,
         obs=None,
         options: SessionOptions | None = None,
-        **legacy,
     ):
-        options = resolve_session_options(options, legacy, "DebugHub")
+        if options is None:
+            options = SessionOptions()
         low = getattr(design, "low", None)
         if low is None:
             raise HubError(

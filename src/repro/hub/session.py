@@ -22,9 +22,10 @@ from __future__ import annotations
 import time as _time
 
 from ..core.runtime import Runtime
+from ..options import SessionOptions
 from ..sim.engine import Simulator
 from ..symtable.query import SQLiteSymbolTable
-from .api import LocalSession, SessionError, SessionOptions, StopInfo
+from .api import LocalSession, SessionError, StopInfo
 
 #: SessionHandle methods reachable over the wire, by name.  An allowlist,
 #: not getattr-anything: the transport must never expose internals.

@@ -18,8 +18,8 @@ import random
 import time
 
 from ..core.runtime import HitRecorder, Runtime
-from ..hub.api import SessionOptions
 from ..obs import make_obs
+from ..options import SessionOptions
 from ..sim.engine import Simulator
 from ..sim.manyworlds import ManyWorldsSimulator, make_sweep_stimulus
 from ..sim.store import numpy_available

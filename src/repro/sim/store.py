@@ -29,7 +29,7 @@ generator emits ``w[i]`` instead of ``v[i]`` for them, so the hot path
 pays nothing for the possibility.  Designs without wide signals (the
 common case) carry an empty dict.
 
-Backend selection: ``Simulator(store=...)`` takes a backend name, the
+Backend selection: ``SessionOptions(store=...)`` takes a backend name, the
 ``REPRO_VALUE_STORE`` environment variable overrides the default, and
 ``"auto"`` (the default) picks ``numpy`` when importable, else ``array``.
 Property tests pin all backends bit-identical to the list reference.

@@ -13,6 +13,16 @@ from repro.wire import THREAD_PREFIX
 _JOIN_S = 2.0
 
 
+def pytest_configure(config):
+    """Make repro's own ``DeprecationWarning`` an error, as
+    ``perfbench/harness.py`` does.  A warning is attributed to the frame
+    its ``stacklevel`` names: repro itself, or the test or helper module
+    that called the deprecated API."""
+    config.addinivalue_line(
+        "filterwarnings", r"error::DeprecationWarning:(repro|tests|test_)"
+    )
+
+
 def _wire_threads() -> set[threading.Thread]:
     return {
         t for t in threading.enumerate() if t.name.startswith(THREAD_PREFIX)

@@ -8,6 +8,7 @@ import pytest
 import repro
 from repro.core import DebuggerError, Runtime
 from repro.core.protocol import DebugClient, DebugServer
+from repro.options import SessionOptions
 from repro.sim import Simulator
 from repro.symtable import SQLiteSymbolTable, write_symbol_table
 from tests.helpers import Accumulator, line_of
@@ -16,7 +17,7 @@ from tests.helpers import Accumulator, line_of
 @pytest.fixture()
 def served():
     d = repro.compile(Accumulator())
-    sim = Simulator(d.low, snapshots=32)
+    sim = Simulator(d.low, options=SessionOptions(snapshots=32))
     st = SQLiteSymbolTable(write_symbol_table(d))
     rt = Runtime(sim, st)
     server = DebugServer(rt)

@@ -12,13 +12,14 @@ from repro.core import (
     STEP,
     DebuggerError,
 )
+from repro.options import SessionOptions
 from repro.sim import Simulator
 from tests.helpers import Accumulator, TwoLeaves, line_of, make_runtime
 
 
 def _setup(mod_cls=Accumulator, snapshots=64, debug=False, **kw):
     d = repro.compile(mod_cls(), debug=debug)
-    sim = Simulator(d.low, snapshots=snapshots)
+    sim = Simulator(d.low, options=SessionOptions(snapshots=snapshots))
     return d, sim
 
 

@@ -1,93 +1,53 @@
-"""SessionOptions: one configuration record across Simulator, ShardSession,
-and the hub — with once-per-owner deprecation for the legacy keywords."""
-
-import warnings
+"""SessionOptions: one configuration record across Simulator,
+ManyWorldsSimulator, ShardSession and the hub, passed only as ``options=``."""
 
 import pytest
 
 import repro
-from repro.hub import DebugHub, SessionOptions, resolve_session_options
-from repro.hub.api import _LEGACY_WARNED
+from repro.hub import DebugHub
+from repro.options import SessionOptions
 from repro.shard import ShardSession
-from repro.sim import Simulator
+from repro.sim import ManyWorldsSimulator, Simulator
 from tests.helpers import Accumulator, Counter
 
 
-@pytest.fixture(autouse=True)
-def _fresh_warning_dedupe():
-    """The dedupe set is process-global; reset it so each test observes
-    its own first warning."""
-    saved = set(_LEGACY_WARNED)
-    _LEGACY_WARNED.clear()
-    yield
-    _LEGACY_WARNED.clear()
-    _LEGACY_WARNED.update(saved)
-
-
-class TestResolve:
-    def test_legacy_value_wins_over_options_field(self):
-        with pytest.warns(DeprecationWarning):
-            opt = resolve_session_options(
-                SessionOptions(snapshots=4), {"snapshots": 9}, "T"
-            )
-        assert opt.snapshots == 9
-
-    def test_unknown_keyword_rejected(self):
-        with pytest.raises(TypeError, match="unknown session option"):
-            resolve_session_options(None, {"bogus": 1}, "T")
-
-    def test_no_legacy_no_warning(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            opt = resolve_session_options(SessionOptions(fast=False), {}, "T")
-        assert opt.fast is False
-
-    def test_warned_once_per_owner_and_keyword_set(self):
-        with pytest.warns(DeprecationWarning):
-            resolve_session_options(None, {"snapshots": 1}, "T")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # a repeat would raise
-            resolve_session_options(None, {"snapshots": 2}, "T")
-        with pytest.warns(DeprecationWarning):  # new owner: new warning
-            resolve_session_options(None, {"snapshots": 1}, "U")
+@pytest.mark.parametrize(
+    ("build", "legacy"),
+    [
+        (lambda d, kw: Simulator(d.low, **kw), {"snapshots": 8}),
+        (lambda d, kw: ManyWorldsSimulator(d.low, 2, **kw), {"snapshots": 8}),
+        (lambda d, kw: ShardSession(d, **kw), {"fast": False}),
+        (lambda d, kw: DebugHub(d, **kw), {"snapshots": 8}),
+    ],
+    ids=["Simulator", "ManyWorldsSimulator", "ShardSession", "DebugHub"],
+)
+def test_legacy_keyword_is_a_type_error(build, legacy):
+    """A session knob is set through ``options=`` only: a per-knob keyword
+    on a constructor is a ``TypeError``."""
+    d = repro.compile(Counter())
+    with pytest.raises(TypeError, match="unexpected keyword"):
+        build(d, legacy)
 
 
 class TestSimulator:
-    def test_legacy_kwarg_warns_and_still_works(self):
-        d = repro.compile(Counter())
-        with pytest.warns(DeprecationWarning, match="Simulator"):
-            sim = Simulator(d.low, snapshots=8)
-        assert sim.timeline is not None
-
     def test_options_equivalent_without_warning(self):
         d = repro.compile(Counter())
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            sim = Simulator(d.low, options=SessionOptions(snapshots=8))
+        sim = Simulator(d.low, options=SessionOptions(snapshots=8))
         assert sim.timeline is not None
 
 
 class TestShardSession:
-    def test_legacy_kwarg_warns_and_still_works(self):
-        d = repro.compile(Accumulator())
-        with pytest.warns(DeprecationWarning, match="ShardSession"):
-            session = ShardSession(d, fast=False)
-        assert session.fast is False
-
     def test_options_flow_through(self):
         d = repro.compile(Accumulator())
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            session = ShardSession(d, options=SessionOptions(fast=False))
+        session = ShardSession(d, options=SessionOptions(fast=False))
         assert session.fast is False
         assert session.options.fast is False
 
 
 class TestHub:
-    def test_legacy_kwarg_warns_and_configures_sessions(self):
+    def test_options_configure_sessions(self):
         d = repro.compile(Counter())
-        with pytest.warns(DeprecationWarning, match="DebugHub"):
-            hub = DebugHub(d, snapshots=16)
+        hub = DebugHub(d, options=SessionOptions(snapshots=16))
         with hub:
             assert hub.options.snapshots == 16
             # The hub vets the design once; sessions never re-gate.

@@ -13,6 +13,7 @@ from repro.obs import (
     resolve_mode,
 )
 from repro.obs.tracer import NULL_SPAN
+from repro.options import SessionOptions
 from repro.shard import BreakpointSpec, ShardSpec
 from repro.shard.worker import run_shard
 from repro.sim import Simulator
@@ -111,7 +112,7 @@ class TestOffModeParity:
     def test_simulator_off_state_matches_enabled(self):
         def digest(mode):
             d = repro.compile(Accumulator())
-            sim = Simulator(d.low, obs=mode)
+            sim = Simulator(d.low, options=SessionOptions(obs=mode))
             sim.poke("en", 1)
             sim.poke("d", 5)
             sim.reset()

@@ -9,6 +9,7 @@ import pytest
 import repro
 from repro.faults import FaultPlan
 from repro.obs import NULL_OBS
+from repro.options import SessionOptions
 from repro.shard import BreakpointSpec, RetryPolicy, ShardSession
 from tests.helpers import Accumulator, line_of
 
@@ -23,7 +24,7 @@ def acc():
 
 
 def _sweep(d, bp, *, obs, workers, shards=2, **kwargs):
-    with ShardSession(d, workers=workers, obs=obs) as session:
+    with ShardSession(d, workers=workers, options=SessionOptions(obs=obs)) as session:
         return session.sweep(
             shards=shards, cycles=30, breakpoints=[bp], overrides={"en": 1},
             **kwargs,

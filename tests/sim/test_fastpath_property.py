@@ -3,7 +3,7 @@
 Three independently-optimized layers must stay bit-identical to their
 reference counterparts:
 
-* dirty-set incremental ``comb`` (``Simulator(fast=True)``) vs. the full
+* dirty-set incremental ``comb`` (``SessionOptions(fast=True)``) vs. the full
   monolithic ``comb`` (``fast=False``) under random pokes/steps/rewinds;
 * exec-compiled breakpoint conditions vs. the tree-walking interpreter,
   both as raw expressions and through the runtime's hit sequences;
@@ -20,6 +20,7 @@ import pytest
 import repro
 import repro.hgf as hgf
 from repro.core import CONTINUE, Runtime, expr_eval
+from repro.options import SessionOptions
 from repro.sim import Simulator
 from tests.helpers import Accumulator, AluLike, Counter, SumLoop, TwoLeaves, line_of, make_runtime
 
@@ -60,8 +61,8 @@ def test_fast_path_matches_reference(mod_cls, seed):
     """Random pokes/steps/rewinds: fast and reference sims stay in
     lockstep, signal-for-signal and memory-word-for-memory-word."""
     d = repro.compile(mod_cls())
-    fast = Simulator(d.low, snapshots=16, fast=True)
-    ref = Simulator(d.low, snapshots=16, fast=False)
+    fast = Simulator(d.low, options=SessionOptions(snapshots=16, fast=True))
+    ref = Simulator(d.low, options=SessionOptions(snapshots=16, fast=False))
     rng = random.Random(seed)
     inputs = _poke_targets(fast)
 
@@ -95,7 +96,7 @@ def test_delta_snapshots_restore_recorded_state(mod_cls):
     """set_time reproduces the exact live state each snapshot cycle saw,
     including after a rewind followed by divergent re-execution."""
     d = repro.compile(mod_cls())
-    sim = Simulator(d.low, snapshots=32)
+    sim = Simulator(d.low, options=SessionOptions(snapshots=32))
     rng = random.Random(7)
     inputs = _poke_targets(sim)
     sim.reset()
@@ -121,7 +122,7 @@ def test_delta_snapshots_restore_recorded_state(mod_cls):
     # Rewind, poke differently, re-execute: re-taken snapshots must
     # reflect the new run (the full-copy reference overwrote per-time
     # entries; the delta ring must behave identically).
-    sim2 = Simulator(d.low, snapshots=32)
+    sim2 = Simulator(d.low, options=SessionOptions(snapshots=32))
     sim2.reset()
     for name in inputs:
         sim2.poke(name, 1)
@@ -141,7 +142,7 @@ def test_set_time_repeat_and_forward_jump():
     forward to a later retained time both work (the full-copy reference
     kept entries until re-execution overwrote them)."""
     d = repro.compile(Counter())
-    sim = Simulator(d.low, snapshots=32)
+    sim = Simulator(d.low, options=SessionOptions(snapshots=32))
     sim.reset()
     sim.poke("en", 1)
     sim.step(10)
@@ -162,7 +163,7 @@ def test_callback_rewind_keeps_mem_journal_live():
     memory-write journal: writes after the rewind still reach later
     delta snapshots."""
     d = repro.compile(MemMixer())
-    sim = Simulator(d.low, snapshots=32)
+    sim = Simulator(d.low, options=SessionOptions(snapshots=32))
     sim.reset()
     sim.poke("wen", 1)
     sim.poke("waddr", 0)
@@ -192,9 +193,9 @@ def test_batched_multi_poke_matches_sequential_and_reference(mod_cls, seed):
     sequential (flush after every poke), and reference (full comb) — must
     be indistinguishable at every observation point."""
     d = repro.compile(mod_cls())
-    batched = Simulator(d.low, fast=True)
-    sequential = Simulator(d.low, fast=True)
-    ref = Simulator(d.low, fast=False)
+    batched = Simulator(d.low, options=SessionOptions(fast=True))
+    sequential = Simulator(d.low, options=SessionOptions(fast=True))
+    ref = Simulator(d.low, options=SessionOptions(fast=False))
     sims = (batched, sequential, ref)
     rng = random.Random(seed)
     inputs = _poke_targets(batched)
@@ -248,8 +249,8 @@ def test_activity_tracked_tick_matches_full_tick(seed):
     """Quiet-cycle-dominated runs: sparse register activity (including
     cycles where nothing changes) stays lockstep with the reference."""
     d = repro.compile(QuietLanes())
-    fast = Simulator(d.low, snapshots=8, fast=True)
-    ref = Simulator(d.low, snapshots=8, fast=False)
+    fast = Simulator(d.low, options=SessionOptions(snapshots=8, fast=True))
+    ref = Simulator(d.low, options=SessionOptions(snapshots=8, fast=False))
     rng = random.Random(seed)
     for sim in (fast, ref):
         sim.reset()
@@ -280,8 +281,8 @@ def test_mask_cone_cache_saturation_fallback(monkeypatch, mod_cls):
 
     monkeypatch.setattr(CompiledDesign, "MASK_CONE_CAP", 0)
     d = repro.compile(mod_cls())
-    fast = Simulator(d.low, snapshots=8, fast=True)
-    ref = Simulator(d.low, snapshots=8, fast=False)
+    fast = Simulator(d.low, options=SessionOptions(snapshots=8, fast=True))
+    ref = Simulator(d.low, options=SessionOptions(snapshots=8, fast=False))
     assert fast.design.MASK_CONE_CAP == 0
     rng = random.Random(11)
     inputs = _poke_targets(fast)
@@ -309,7 +310,7 @@ def test_watchpoints_across_set_time_rewind():
     from tests.helpers import make_runtime
 
     d = repro.compile(Counter())
-    sim = Simulator(d.low, snapshots=32)
+    sim = Simulator(d.low, options=SessionOptions(snapshots=32))
     hits = []
     rt = make_runtime(
         d, sim,
@@ -347,7 +348,7 @@ def test_watchpoint_rewind_via_reverse_continue():
     from tests.helpers import line_of, make_runtime
 
     d = repro.compile(Accumulator())
-    sim = Simulator(d.low, snapshots=32)
+    sim = Simulator(d.low, options=SessionOptions(snapshots=32))
     seen = []
     commands = iter([REVERSE_CONTINUE] + [CONTINUE] * 50)
 
@@ -451,7 +452,7 @@ def test_runtime_compiled_hits_match_interpreter(condition):
     seqs = []
     for compiled in (True, False):
         d = repro.compile(Accumulator())
-        sim = Simulator(d.low, snapshots=16, fast=compiled)
+        sim = Simulator(d.low, options=SessionOptions(snapshots=16, fast=compiled))
         hits = []
 
         def on_hit(h):

@@ -17,7 +17,7 @@ import pytest
 import repro
 import repro.hgf as hgf
 from repro.core.runtime import CONTINUE, HitRecorder
-from repro.hub import SessionOptions
+from repro.options import SessionOptions
 from repro.sim import (
     ManyWorldsSimulator,
     Simulator,

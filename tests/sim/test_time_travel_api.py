@@ -15,6 +15,7 @@ import pytest
 
 import repro
 from repro.core import CONTINUE, REVERSE_STEP, Runtime
+from repro.options import SessionOptions
 from repro.sim import Simulator, TimelineError
 from repro.symtable import SQLiteSymbolTable, write_symbol_table
 from repro.trace import ReplayEngine, VcdWriter
@@ -42,8 +43,8 @@ def backend(request, tmp_path):
     """
     d = repro.compile(Counter())
     if request.param == "live":
-        sim = Simulator(d.low, snapshots=64, snapshot_codec="rle",
-                        keyframe_every=4)
+        opts = SessionOptions(snapshots=64, snapshot_codec="rle", keyframe_every=4)
+        sim = Simulator(d.low, options=opts)
         _run_stimulus(sim)
         return sim
     path = str(tmp_path / "run.vcd")
@@ -126,7 +127,7 @@ def test_live_and_replay_history_identical(tmp_path):
     d = repro.compile(Counter())
     path = str(tmp_path / "run.vcd")
     w = VcdWriter(path)
-    live = Simulator(d.low, snapshots=64, trace=w)
+    live = Simulator(d.low, options=SessionOptions(snapshots=64), trace=w)
     _run_stimulus(live)
     w.close()
     rp = ReplayEngine.from_file(path)
@@ -146,7 +147,7 @@ def test_reverse_step_through_runtime(mode, tmp_path):
     d = repro.compile(Counter())
     st = SQLiteSymbolTable(write_symbol_table(d))
     if mode == "live":
-        sim = Simulator(d.low, snapshots=64)
+        sim = Simulator(d.low, options=SessionOptions(snapshots=64))
     else:
         path = str(tmp_path / "run.vcd")
         w = VcdWriter(path)
