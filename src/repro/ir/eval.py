@@ -1,30 +1,25 @@
-"""Reference evaluation semantics for IR primitive operations.
+"""Reference evaluation of IR expressions.
 
 Signal values are stored as unsigned masked integers in ``[0, 2**width)``.
-SInt-typed values are *interpreted* as two's complement when an operation is
-arithmetic.  Division/remainder by zero evaluate to 0 (defined semantics so
-simulation is total, as in most RTL simulators' 2-state mode).
-
-Both the constant-propagation pass and the compiled simulator must agree
-with these functions; property-based tests enforce that.
+:func:`eval_prim` evaluates the expression template of an op's row in the
+primitive-op table (``repro.ir.ops``), the same template the simulator
+codegen prints, so constant propagation, the debug runtime and the compiled
+simulator share one definition of every op.  ``tests/ir/test_eval.py``
+checks each row against Python integer arithmetic.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 from .expr import Expr, Literal, MemRead, PrimOp, Ref, SubField, SubIndex
+from .ops import HELPERS, OPS, to_signed
 from .types import SIntType, Type
 
 
 def mask(value: int, width: int) -> int:
     """Truncate to ``width`` bits (unsigned representation)."""
     return value & ((1 << width) - 1)
-
-
-def to_signed(raw: int, width: int) -> int:
-    """Interpret a masked value as two's complement."""
-    if raw & (1 << (width - 1)):
-        return raw - (1 << width)
-    return raw
 
 
 def interp(raw: int, typ: Type) -> int:
@@ -39,6 +34,22 @@ def literal_raw(lit: Literal) -> int:
     return mask(lit.value, lit.typ.bit_width())
 
 
+# A template's fields bound to the arguments of its compiled function.
+_SYMBOLIC = {
+    "a": ("a[0]", "a[1]", "a[2]"),
+    "p": ("p[0]", "p[1]"),
+    "w": ("w[0]", "w[1]", "w[2]"),
+    "m": tuple(f"((1 << w[{i}]) - 1)" for i in range(3)),
+    "M": "M",
+}
+_HELPERS = dict(HELPERS)  # eval() adds __builtins__ to its globals
+# op -> (operand kinds, fn(a, p, w, M)), each template compiled once.
+_EVALUATORS: dict[str, tuple[str, Callable[..., int]]] = {
+    op: (kinds, eval(f"lambda a, p, w, M: {t.format(**_SYMBOLIC)}", _HELPERS))
+    for op, (kinds, t) in OPS.items()
+}
+
+
 def eval_prim(
     op: str,
     params: tuple[int, ...],
@@ -50,83 +61,15 @@ def eval_prim(
 
     Returns the raw masked result.
     """
-    rw = result_type.bit_width()
-    vals = tuple(interp(r, t) for r, t in zip(raw_args, arg_types, strict=False))
-
-    if op == "add":
-        return mask(vals[0] + vals[1], rw)
-    if op == "sub":
-        return mask(vals[0] - vals[1], rw)
-    if op == "mul":
-        return mask(vals[0] * vals[1], rw)
-    if op == "div":
-        if vals[1] == 0:
-            return 0
-        q = abs(vals[0]) // abs(vals[1])
-        if (vals[0] < 0) != (vals[1] < 0):
-            q = -q
-        return mask(q, rw)
-    if op == "rem":
-        if vals[1] == 0:
-            return 0
-        r = abs(vals[0]) % abs(vals[1])
-        if vals[0] < 0:
-            r = -r
-        return mask(r, rw)
-    if op == "lt":
-        return int(vals[0] < vals[1])
-    if op == "leq":
-        return int(vals[0] <= vals[1])
-    if op == "gt":
-        return int(vals[0] > vals[1])
-    if op == "geq":
-        return int(vals[0] >= vals[1])
-    if op == "eq":
-        return int(vals[0] == vals[1])
-    if op == "neq":
-        return int(vals[0] != vals[1])
-    if op == "and":
-        return mask(vals[0] & vals[1], rw)
-    if op == "or":
-        return mask(vals[0] | vals[1], rw)
-    if op == "xor":
-        return mask(vals[0] ^ vals[1], rw)
-    if op == "not":
-        return mask(~vals[0], rw)
-    if op == "neg":
-        return mask(-vals[0], rw)
-    if op == "andr":
-        w = arg_types[0].bit_width()
-        return int(raw_args[0] == (1 << w) - 1)
-    if op == "orr":
-        return int(raw_args[0] != 0)
-    if op == "xorr":
-        return bin(raw_args[0]).count("1") & 1
-    if op == "cat":
-        wb = arg_types[1].bit_width()
-        return (raw_args[0] << wb) | raw_args[1]
-    if op == "bits":
-        hi, lo = params
-        return (raw_args[0] >> lo) & ((1 << (hi - lo + 1)) - 1)
-    if op == "pad":
-        return mask(vals[0], rw)
-    if op == "shl":
-        return mask(vals[0] << params[0], rw)
-    if op == "shr":
-        return mask(vals[0] >> params[0], rw)
-    if op == "dshl":
-        # Shift amounts are unsigned (FIRRTL requires UInt), so use the raw
-        # value even when the operand happens to be SInt-typed.
-        return mask(vals[0] << min(raw_args[1], 256), rw)
-    if op == "dshr":
-        return mask(vals[0] >> min(raw_args[1], 256), rw)
-    if op == "mux":
-        return mask(vals[1] if raw_args[0] else vals[2], rw)
-    if op == "as_uint":
-        return raw_args[0]
-    if op == "as_sint":
-        return raw_args[0]
-    raise ValueError(f"unknown primitive op {op!r}")
+    if op not in _EVALUATORS:
+        raise ValueError(f"unknown primitive op {op!r}")
+    kinds, fn = _EVALUATORS[op]
+    args = tuple(
+        interp(r, t) if k == "v" else r
+        for k, r, t in zip(kinds, raw_args, arg_types, strict=False)
+    )
+    widths = tuple(t.bit_width() for t in arg_types)
+    return fn(args, params, widths, (1 << result_type.bit_width()) - 1)
 
 
 class ExprInterpreter:

@@ -98,8 +98,8 @@ class Literal(Expr):
 class PrimOp(Expr):
     """A primitive operation.
 
-    ``op`` is one of :data:`PRIM_OPS`; ``params`` holds static integer
-    parameters (e.g. the hi/lo of ``bits`` or the amount of ``shl``).
+    ``op`` names a row of :data:`repro.ir.ops.OPS`; ``params`` holds static
+    integer parameters (e.g. the hi/lo of ``bits`` or the amount of ``shl``).
     """
 
     op: str
@@ -128,19 +128,6 @@ class MemRead(Expr):
     def __str__(self) -> str:
         return f"{self.mem}[{self.addr}]"
 
-
-#: All primitive operation names understood by the simulator and emitter.
-PRIM_OPS = frozenset(
-    {
-        "add", "sub", "mul", "div", "rem",
-        "lt", "leq", "gt", "geq", "eq", "neq",
-        "and", "or", "xor", "not", "neg",
-        "andr", "orr", "xorr",
-        "cat", "bits", "pad",
-        "shl", "shr", "dshl", "dshr",
-        "mux", "as_uint", "as_sint",
-    }
-)
 
 _BINARY_ARITH = {"add", "sub", "mul", "div", "rem"}
 _COMPARISONS = {"lt", "leq", "gt", "geq", "eq", "neq"}

@@ -36,6 +36,7 @@ from ..expr import (
     not_,
     pad,
 )
+from ..ops import INFIX
 from ..source import UNKNOWN, SourceInfo
 from ..stmt import (
     Block,
@@ -98,14 +99,8 @@ def render_expr(e: Expr, rename: dict[str, str] | None = None) -> str:
         if isinstance(x, MemRead):
             return f"{x.mem}[{r(x.addr)}]"
         if isinstance(x, PrimOp):
-            infix = {
-                "add": "+", "sub": "-", "mul": "*", "div": "/", "rem": "%",
-                "lt": "<", "leq": "<=", "gt": ">", "geq": ">=",
-                "eq": "==", "neq": "!=", "and": "&", "or": "|", "xor": "^",
-                "dshl": "<<", "dshr": ">>",
-            }
-            if x.op in infix and len(x.args) == 2:
-                return f"({r(x.args[0])} {infix[x.op]} {r(x.args[1])})"
+            if x.op in INFIX and len(x.args) == 2:
+                return f"({r(x.args[0])} {INFIX[x.op]} {r(x.args[1])})"
             if x.op == "not":
                 return f"(~{r(x.args[0])})"
             if x.op == "neg":

@@ -10,6 +10,7 @@ motivates source-level debugging.
 from __future__ import annotations
 
 from .expr import Expr, Literal, MemRead, PrimOp, Ref, SubField
+from .ops import INFIX
 from .stmt import (
     Circuit,
     Connect,
@@ -24,6 +25,18 @@ from .stmt import (
     Stop,
 )
 from .types import SIntType
+
+
+_PREFIX = {"not": "~", "neg": "-", "andr": "&", "orr": "|", "xorr": "^"}
+# Ops whose operands Verilog sizes by themselves, not from the context.
+_SELF_DETERMINED = frozenset({"cat", "andr", "orr", "xorr", "as_uint", "as_sint"})
+
+
+def _widened(e: Expr) -> Expr | None:
+    """The operand of a widening ``pad``, else None."""
+    if isinstance(e, PrimOp) and e.op == "pad" and e.width() > e.args[0].width():
+        return e.args[0]
+    return None
 
 
 def _width_decl(width: int) -> str:
@@ -182,30 +195,18 @@ class _ModuleEmitter:
         raise ValueError(f"cannot emit {e!r}")
 
     def _prim(self, e: PrimOp) -> str:
-        infix = {
-            "add": "+", "sub": "-", "mul": "*", "div": "/", "rem": "%",
-            "lt": "<", "leq": "<=", "gt": ">", "geq": ">=",
-            "eq": "==", "neq": "!=", "and": "&", "or": "|", "xor": "^",
-            "dshl": "<<", "dshr": ">>",
-        }
-        a = [self._wrap(x) for x in e.args]
-        if e.op in infix:
-            op = infix[e.op]
-            if e.op == "dshr" and isinstance(e.args[0].typ, SIntType):
-                op = ">>>"
-            return f"({a[0]} {op} {a[1]})"
+        wrap = self._sized if e.op in _SELF_DETERMINED else self._wrap
+        a = [wrap(x) for x in e.args]
+        if e.op in INFIX:
+            sym = INFIX[e.op]
+            if sym == ">>" and isinstance(e.args[0].typ, SIntType):
+                sym = ">>>"
+            rhs = a[1] if len(a) == 2 else e.params[0]
+            return f"({a[0]} {sym} {rhs})"
+        if e.op in _PREFIX:
+            return f"({_PREFIX[e.op]}{a[0]})"
         if e.op == "mux":
             return f"({a[0]} ? {a[1]} : {a[2]})"
-        if e.op == "not":
-            return f"(~{a[0]})"
-        if e.op == "neg":
-            return f"(-{a[0]})"
-        if e.op == "andr":
-            return f"(&{a[0]})"
-        if e.op == "orr":
-            return f"(|{a[0]})"
-        if e.op == "xorr":
-            return f"(^{a[0]})"
         if e.op == "cat":
             return f"{{{a[0]}, {a[1]}}}"
         if e.op == "bits":
@@ -216,16 +217,26 @@ class _ModuleEmitter:
                 f"{self._bits_operand(e.args[0])}[{hi}]"
             )
         if e.op == "pad":
-            return a[0]
-        if e.op in ("shl",):
-            return f"({a[0]} << {e.params[0]})"
-        if e.op in ("shr",):
-            return f"({a[0]} >> {e.params[0]})"
+            return a[0]  # the context extends it
         if e.op == "as_uint":
             return f"$unsigned({a[0]})"
         if e.op == "as_sint":
             return f"$signed({a[0]})"
         raise ValueError(f"cannot emit op {e.op}")
+
+    def _sized(self, e: Expr) -> str:
+        """``e`` where Verilog sizes it by itself (a cat operand, say): a
+        widening ``pad`` must spell out its sign or zero extension."""
+        x = _widened(e)
+        if x is None:
+            return self._wrap(e)
+        if not isinstance(x.typ, SIntType):
+            fill = "1'b0"
+        elif x.width() == 1:
+            fill = self._expr(x)
+        else:
+            fill = f"{self._bits_operand(x)}[{x.width() - 1}]"
+        return f"{{{{{e.width() - x.width()}{{{fill}}}}}, {self._expr(x)}}}"
 
     def _bits_operand(self, e: Expr) -> str:
         # Verilog cannot slice an arbitrary expression; name it if needed.
@@ -233,6 +244,8 @@ class _ModuleEmitter:
             return self._expr(e)
         if isinstance(e, SubField):
             return self._expr(e)
+        if _widened(e) is not None:
+            return self._sized(e)  # already a concatenation
         # Fall back to a concatenation trick valid on expressions.
         return f"{{{self._expr(e)}}}"
 

@@ -23,8 +23,10 @@ This mirrors how compiled simulators (Verilator) work and keeps the
 per-cycle cost low enough that the hgdb callback overhead (paper Fig. 5) is
 measurable against realistic simulation work.
 
-The generated code must agree with ``repro.ir.eval.eval_prim`` — property
-tests enforce it.
+Primitive ops are printed from the op table in ``repro.ir.ops``, whose
+templates ``repro.ir.eval.eval_prim`` evaluates; the vector codegen below is
+a separate lowering.  ``tests/sim/test_op_tiers.py`` checks that every tier
+computes every op alike.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ except ImportError:  # the vector kernels are optional, like NumpyStore
 
 from ..ir.eval import literal_raw
 from ..ir.expr import Expr, Literal, MemRead, PrimOp, Ref, SubField
+from ..ir.ops import HELPERS, INFIX, OPS
 from ..ir.stmt import (
     Circuit,
     Connect,
@@ -355,28 +358,6 @@ class CompiledDesign:
         return tuple(out)
 
 
-def _sg(x: int, w: int) -> int:
-    return x - (1 << w) if x & (1 << (w - 1)) else x
-
-
-def _div(a: int, b: int) -> int:
-    if b == 0:
-        return 0
-    q = abs(a) // abs(b)
-    return -q if (a < 0) != (b < 0) else q
-
-
-def _rem(a: int, b: int) -> int:
-    if b == 0:
-        return 0
-    r = abs(a) % abs(b)
-    return -r if a < 0 else r
-
-
-def _mins(x: int) -> int:
-    return x if x < 256 else 256
-
-
 class _Codegen:
     """Generates the raw/interpreted value code for IR expressions within
     one flattened instance context."""
@@ -429,64 +410,23 @@ class _Codegen:
             return f"_sg({self.raw(e)}, {e.typ.width})"
         return self.raw(e)
 
-    def _mask(self, code: str, e: PrimOp) -> str:
-        return f"(({code}) & {(1 << e.typ.bit_width()) - 1})"
-
     def _prim(self, e: PrimOp) -> str:
-        op = e.op
-        rw = e.typ.bit_width()
-        M = (1 << rw) - 1
-        a = e.args
-        if op in ("add", "sub", "mul"):
-            sym = {"add": "+", "sub": "-", "mul": "*"}[op]
-            return f"(({self.interp(a[0])} {sym} {self.interp(a[1])}) & {M})"
-        if op == "div":
-            return f"(_div({self.interp(a[0])}, {self.interp(a[1])}) & {M})"
-        if op == "rem":
-            return f"(_rem({self.interp(a[0])}, {self.interp(a[1])}) & {M})"
-        if op in ("lt", "leq", "gt", "geq", "eq", "neq"):
-            sym = {"lt": "<", "leq": "<=", "gt": ">", "geq": ">=", "eq": "==", "neq": "!="}[op]
-            return f"(1 if {self.interp(a[0])} {sym} {self.interp(a[1])} else 0)"
-        if op in ("and", "or", "xor"):
-            sym = {"and": "&", "or": "|", "xor": "^"}[op]
-            return f"(({self.interp(a[0])} {sym} {self.interp(a[1])}) & {M})"
-        if op == "not":
-            return f"((~{self.interp(a[0])}) & {M})"
-        if op == "neg":
-            return f"((-{self.interp(a[0])}) & {M})"
-        if op == "andr":
-            w = a[0].typ.bit_width()
-            return f"(1 if {self.raw(a[0])} == {(1 << w) - 1} else 0)"
-        if op == "orr":
-            return f"(1 if {self.raw(a[0])} != 0 else 0)"
-        if op == "xorr":
-            return f"(({self.raw(a[0])}).bit_count() & 1)"
-        if op == "cat":
-            wb = a[1].typ.bit_width()
-            return f"(({self.raw(a[0])} << {wb}) | {self.raw(a[1])})"
-        if op == "bits":
-            hi, lo = e.params
-            m = (1 << (hi - lo + 1)) - 1
-            if lo == 0:
-                return f"({self.raw(a[0])} & {m})"
-            return f"(({self.raw(a[0])} >> {lo}) & {m})"
-        if op == "pad":
-            return f"({self.interp(a[0])} & {M})"
-        if op == "shl":
-            return f"(({self.interp(a[0])} << {e.params[0]}) & {M})"
-        if op == "shr":
-            return f"(({self.interp(a[0])} >> {e.params[0]}) & {M})"
-        if op == "dshl":
-            return f"(({self.interp(a[0])} << _mins({self.raw(a[1])})) & {M})"
-        if op == "dshr":
-            return f"(({self.interp(a[0])} >> _mins({self.raw(a[1])})) & {M})"
-        if op == "mux":
-            t = f"({self.interp(a[1])} & {M})"
-            f_ = f"({self.interp(a[2])} & {M})"
-            return f"({t} if {self.raw(a[0])} else {f_})"
-        if op in ("as_uint", "as_sint"):
-            return self.raw(a[0])
-        raise SimulatorError(f"cannot compile op {op!r}")
+        """Print the op's row of the shared table (``repro.ir.ops``)."""
+        row = OPS.get(e.op)
+        if row is None:
+            raise SimulatorError(f"cannot compile op {e.op!r}")
+        kinds, template = row
+        if e.op == "bits" and e.params[1] == 0:
+            template = "({a[0]} & {M})"  # nothing to shift out
+        args = zip(kinds, e.args, strict=True)
+        widths = [x.typ.bit_width() for x in e.args]
+        return template.format(
+            a=[self.raw(x) if k == "r" else self.interp(x) for k, x in args],
+            M=(1 << e.typ.bit_width()) - 1,
+            p=e.params,
+            w=widths,
+            m=[(1 << w) - 1 for w in widths],
+        )
 
 
 def _expr_reads_mem(e: Expr) -> bool:
@@ -794,10 +734,7 @@ def compile_design(circuit: Circuit, top_path: str | None = None) -> CompiledDes
     )
 
     namespace = {
-        "_sg": _sg,
-        "_div": _div,
-        "_rem": _rem,
-        "_mins": _mins,
+        **HELPERS,
         "SimulationFinished": SimulationFinished,
         "_pf": None,  # patched by the engine with its printf handler
     }
@@ -959,8 +896,7 @@ class _VecCodegen(_Codegen):
     that are provably no-ops on canonical lanes are elided outright.
     """
 
-    _ARITH_SYM = {"add": "+", "sub": "-", "mul": "*",
-                  "and": "&", "or": "|", "xor": "^"}
+    _ARITH_SYM = {op: INFIX[op] for op in ("add", "sub", "mul", "and", "or", "xor")}
 
     def __init__(
         self,
@@ -1081,8 +1017,7 @@ class _VecCodegen(_Codegen):
                 f"{fn}({self.raw(a[0])}, {self.raw(a[1])})", M
             )
         if op in ("lt", "leq", "gt", "geq", "eq", "neq"):
-            sym = {"lt": "<", "leq": "<=", "gt": ">", "geq": ">=",
-                   "eq": "==", "neq": "!="}[op]
+            sym = INFIX[op]
             if isinstance(a[0].typ, SIntType) or isinstance(a[1].typ, SIntType):
                 for arg in a:
                     if (not isinstance(arg.typ, SIntType)
@@ -1155,6 +1090,8 @@ class _VecCodegen(_Codegen):
                     code, M, rw == LANE_BITS and self._arrayish(code)
                 )
             if c >= LANE_BITS:
+                if a[0].typ.bit_width() > LANE_BITS:
+                    raise _NeedScalar(op)  # a wide operand keeps high bits
                 return "0"
             x = self.interp(a[0])
             # A canonical lane shifted right always fits the result width.
@@ -1408,7 +1345,7 @@ def _vector_helpers(worlds: int) -> dict:
         "_vxorr": _vxorr, "_vmask": _vmask, "_vidx": _vidx, "_vjw": _vjw,
         "_mkadp": _mkadp, "_mkjw": _mkjw,
         "_RW": np.arange(worlds), "_RWL": range(worlds), "_ZW": zw,
-        "_sg": _sg, "_div": _div, "_rem": _rem, "_mins": _mins,
+        **HELPERS,
         "_pfv": None,  # patched by ManyWorldsSimulator: _pfv(pi, mask, *cols)
         "_pfk": None,  # patched by ManyWorldsSimulator: _pfk(pi, k, args)
     }

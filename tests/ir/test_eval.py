@@ -1,12 +1,15 @@
 """Reference-semantics tests, including hypothesis properties that pin the
 evaluator to Python integer arithmetic."""
 
+import operator
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.ir import expr as E
 from repro.ir.eval import ExprInterpreter, eval_prim, interp, literal_raw, mask, to_signed
+from repro.ir.ops import OPS
 from repro.ir.types import SIntType, UIntType
 
 
@@ -179,6 +182,118 @@ class TestUnaryAndMisc:
     def test_unknown_op_raises(self):
         with pytest.raises(ValueError):
             eval_prim("bogus", (), (), (), UIntType(1))
+
+
+# -- every row of the op table against Python integer arithmetic ------------
+#
+# The expected values below are written independently of ``repro.ir.ops``:
+# operands are drawn as the integers they denote (negative for SInt), each
+# oracle computes the exact mathematical result, and the test reduces it
+# modulo 2**width of the op's result type.
+
+
+def _trunc_div(x, y):
+    q = x // y  # floor; RTL division truncates toward zero
+    return q + 1 if q < 0 and q * y != x else q
+
+
+def _slice(raw, width, hi, lo):
+    digits = format(raw, f"0{width}b")  # MSB first
+    return int(digits[width - 1 - hi : width - lo], 2)
+
+
+def _cmp(fn):
+    return lambda x, y, **_: int(fn(x, y))
+
+
+# op -> oracle(*values, raws=, widths=, params=) giving the exact result.
+ORACLES = {
+    "add": lambda x, y, **_: x + y,
+    "sub": lambda x, y, **_: x - y,
+    "mul": lambda x, y, **_: x * y,
+    "div": lambda x, y, **_: _trunc_div(x, y) if y else 0,
+    "rem": lambda x, y, **_: x - y * _trunc_div(x, y) if y else 0,
+    "lt": _cmp(operator.lt),
+    "leq": _cmp(operator.le),
+    "gt": _cmp(operator.gt),
+    "geq": _cmp(operator.ge),
+    "eq": _cmp(operator.eq),
+    "neq": _cmp(operator.ne),
+    "and": lambda x, y, **_: x & y,
+    "or": lambda x, y, **_: x | y,
+    "xor": lambda x, y, **_: x ^ y,
+    "not": lambda x, **_: -x - 1,
+    "neg": lambda x, **_: -x,
+    "andr": lambda x, raws, widths, **_: int(raws[0] == 2 ** widths[0] - 1),
+    "orr": lambda x, raws, **_: int(raws[0] != 0),
+    "xorr": lambda x, raws, **_: bin(raws[0]).count("1") % 2,
+    "cat": lambda x, y, raws, widths, **_: raws[0] * 2 ** widths[1] + raws[1],
+    "bits": lambda x, raws, widths, params: _slice(raws[0], widths[0], *params),
+    "pad": lambda x, **_: x,
+    "shl": lambda x, params, **_: x * 2 ** params[0],
+    "shr": lambda x, params, **_: x // 2 ** params[0],
+    "dshl": lambda x, n, raws, **_: x * 2 ** raws[1],
+    "dshr": lambda x, n, raws, **_: x // 2 ** raws[1],
+    "mux": lambda c, x, y, **_: x if c else y,
+    "as_uint": lambda x, raws, **_: raws[0],
+    "as_sint": lambda x, raws, **_: raws[0],
+}
+
+_UNARY = {
+    "not": E.not_, "neg": E.neg, "andr": E.andr, "orr": E.orr,
+    "xorr": E.xorr, "as_uint": E.as_uint, "as_sint": E.as_sint,
+}
+# Widths 1, around one 64-bit lane, and beyond it.
+_widths = st.sampled_from([1, 2, 3, 7, 8, 31, 63, 64, 65, 100, 128])
+
+
+def _operand(draw, name, signed, width):
+    typ = SIntType(width) if signed else UIntType(width)
+    if signed:
+        value = draw(st.integers(-(2 ** (width - 1)), 2 ** (width - 1) - 1))
+    else:
+        value = draw(st.integers(0, 2**width - 1))
+    return E.Ref(name, typ), value
+
+
+def _draw_op(draw, op):
+    """A PrimOp over fresh operands, plus the values they denote."""
+    signed = draw(st.booleans())
+    a, x = _operand(draw, "a", signed, draw(_widths))
+    if op in _UNARY:
+        return _UNARY[op](a), [x]
+    if op == "bits":
+        hi = draw(st.integers(0, a.width() - 1))
+        return E.bits(a, hi, draw(st.integers(0, hi))), [x]
+    if op in ("pad", "shl", "shr"):
+        return getattr(E, op)(a, draw(st.integers(0, 140))), [x]
+    if op in ("dshl", "dshr"):
+        # Amounts reach past the operand width and past 256.
+        n, y = _operand(draw, "n", False, draw(st.sampled_from([1, 4, 8, 10])))
+        return getattr(E, op)(a, n), [x, y]
+    b, y = _operand(draw, "b", signed, draw(_widths))
+    if op == "mux":
+        c, z = _operand(draw, "c", False, 1)
+        return E.mux(c, a, b), [z, x, y]
+    if op == "cat":
+        return E.cat(a, b), [x, y]
+    return E.binop(op, a, b), [x, y]
+
+
+class TestEveryRowAgainstIntegers:
+    def test_every_row_has_an_oracle(self):
+        assert set(ORACLES) == set(OPS)
+
+    @pytest.mark.parametrize("op", sorted(ORACLES))
+    @given(data=st.data())
+    def test_row(self, op, data):
+        e, values = _draw_op(data.draw, op)
+        widths = [x.width() for x in e.args]
+        raws = [v % 2**w for v, w in zip(values, widths, strict=True)]
+        types = tuple(x.typ for x in e.args)
+        expected = ORACLES[op](*values, raws=raws, widths=widths, params=e.params)
+        got = eval_prim(op, e.params, tuple(raws), types, e.typ)
+        assert got == expected % 2 ** e.width(), f"{e} over {values}"
 
 
 class TestExprInterpreter:
