@@ -30,6 +30,8 @@ from .types import SIntType
 _PREFIX = {"not": "~", "neg": "-", "andr": "&", "orr": "|", "xorr": "^"}
 # Ops whose operands Verilog sizes by themselves, not from the context.
 _SELF_DETERMINED = frozenset({"cat", "andr", "orr", "xorr", "as_uint", "as_sint"})
+# Ops whose IR result can be wider than Verilog sizes them by themselves.
+_GROWING = frozenset({"add", "sub", "mul", "div", "shl"})
 
 
 def _widened(e: Expr) -> Expr | None:
@@ -37,6 +39,17 @@ def _widened(e: Expr) -> Expr | None:
     if isinstance(e, PrimOp) and e.op == "pad" and e.width() > e.args[0].width():
         return e.args[0]
     return None
+
+
+def _outgrows(e: Expr, width: int) -> bool:
+    """Whether Verilog, sizing ``e`` by itself, keeps fewer than ``width``
+    of its bits: it sizes arithmetic by the widest operand and a shift by
+    the shifted one."""
+    return (
+        isinstance(e, PrimOp)
+        and e.op in _GROWING
+        and width > max(a.width() for a in e.args)
+    )
 
 
 def _width_decl(width: int) -> str:
@@ -213,9 +226,8 @@ class _ModuleEmitter:
             hi, lo = e.params
             if e.args[0].width() == 1 and hi == 0 and lo == 0:
                 return a[0]
-            return f"{self._bits_operand(e.args[0])}[{hi}:{lo}]" if hi != lo else (
-                f"{self._bits_operand(e.args[0])}[{hi}]"
-            )
+            src = self._bits_operand(e.args[0], hi)
+            return f"{src}[{hi}:{lo}]" if hi != lo else f"{src}[{hi}]"
         if e.op == "pad":
             return a[0]  # the context extends it
         if e.op == "as_uint":
@@ -226,7 +238,10 @@ class _ModuleEmitter:
 
     def _sized(self, e: Expr) -> str:
         """``e`` where Verilog sizes it by itself (a cat operand, say): a
-        widening ``pad`` must spell out its sign or zero extension."""
+        widening ``pad`` must spell out its sign or zero extension, and an
+        op that outgrows its operands must be computed at its IR width."""
+        if _outgrows(e, e.width()):
+            return self._full_width(e)
         x = _widened(e)
         if x is None:
             return self._wrap(e)
@@ -235,10 +250,17 @@ class _ModuleEmitter:
         elif x.width() == 1:
             fill = self._expr(x)
         else:
-            fill = f"{self._bits_operand(x)}[{x.width() - 1}]"
+            fill = f"{self._bits_operand(x, x.width() - 1)}[{x.width() - 1}]"
         return f"{{{{{e.width() - x.width()}{{{fill}}}}}, {self._expr(x)}}}"
 
-    def _bits_operand(self, e: Expr) -> str:
+    def _full_width(self, e: Expr) -> str:
+        # Adding a zero of the IR width makes Verilog compute ``e`` that
+        # wide (a signed zero keeps a signed expression signed).
+        sign = "s" if isinstance(e.typ, SIntType) else ""
+        return f"({self._expr(e)} + {e.width()}'{sign}d0)"
+
+    def _bits_operand(self, e: Expr, hi: int) -> str:
+        """``e`` in a form Verilog can slice up to bit ``hi``."""
         # Verilog cannot slice an arbitrary expression; name it if needed.
         if isinstance(e, (Ref, MemRead)):
             return self._expr(e)
@@ -247,6 +269,8 @@ class _ModuleEmitter:
         if _widened(e) is not None:
             return self._sized(e)  # already a concatenation
         # Fall back to a concatenation trick valid on expressions.
+        if _outgrows(e, hi + 1):
+            return f"{{{self._full_width(e)}}}"
         return f"{{{self._expr(e)}}}"
 
     def _wrap(self, e: Expr) -> str:

@@ -5,19 +5,25 @@ paths like ``Top.fpu.dcmp.io_a``), combinational assignments are
 topologically sorted, and two Python functions are generated with ``exec``:
 
 * ``comb(v, w, m)``  — settle all combinational logic (one pass, zero-delay);
-* ``tick(v, w, m)``  — fire stops/printfs, apply memory writes, then update
-  all registers two-phase.
+* ``tick(v, w, m, time, _jw, _ch)`` — fire stops/printfs, apply memory
+  writes, then update all registers two-phase.
 
 ``v`` is the *narrow* value buffer — one 64-bit lane per signal, pluggable
 storage (``repro.sim.store``); ``w`` is the overflow dict for signals wider
 than one lane, selected statically per signal at codegen time so the common
 all-narrow design never touches it; ``m`` is the list of memory arrays.
 
-Two further ``tick`` variants serve the engine's fast path: a *journaling*
-variant reports every memory word it writes (delta snapshots), and an
-*activity-tracked* variant additionally reports which registers actually
-changed on the edge — the engine then re-settles only the changed-register
+The tick is activity-tracked: it reports every register that actually
+changed on the edge through ``_ch`` and returns truthy when a memory word
+was written, so the engine's fast path re-settles only the changed-register
 fanout instead of the full state cone (Verilator-style activity tracking).
+When ``_jw`` is not None it also reports every memory word it writes (the
+delta-snapshot journal).
+
+Lowering walks the IR once and records a flat *schedule* (:class:`Lowered`
+entries) on the design: each statement's IR expressions, instance path and
+the scalar code printed for them.  The scalar tick and the many-worlds
+vector kernels (:func:`compile_vector`) are both printed from it.
 
 This mirrors how compiled simulators (Verilator) work and keeps the
 per-cycle cost low enough that the hgdb callback overhead (paper Fig. 5) is
@@ -81,6 +87,28 @@ class RegisterSpec:
 
 
 @dataclass(slots=True)
+class Lowered:
+    """One lowered statement of the schedule, in lowering order.
+
+    ``exprs`` are the statement's IR expressions, written in the instance
+    ``path``; ``code`` holds the scalar code printed for each of them.
+    ``key`` depends on ``kind``:
+
+    * ``"comb"`` — the driven signal (``exprs``: its value);
+    * ``"next"`` / ``"init"`` — the register (its next / reset value);
+    * ``"write"`` — the memory (``exprs``: enable, address, data);
+    * ``"stop"`` — the exit code (``exprs``: the condition);
+    * ``"printf"`` — the printf index (``exprs``: condition, arguments).
+    """
+
+    kind: str
+    key: int
+    path: str
+    exprs: tuple[Expr, ...]
+    code: tuple[str, ...]
+
+
+@dataclass(slots=True)
 class MemSpec:
     index: int
     path: str
@@ -95,7 +123,7 @@ class CompiledDesign:
 
     Beyond the monolithic ``comb``/``tick`` functions (the reference path),
     the design carries enough per-assignment metadata — topo order, dependency
-    sets, levelized blocks — to compile *fanout cones*: for any set of changed
+    sets, levels — to compile *fanout cones*: for any set of changed
     signals, a function that re-evaluates only the affected assignments in
     topo order.  Cones are computed and compiled lazily and cached, so a
     poke-heavy testbench pays for each distinct stimulus signal once.
@@ -107,7 +135,7 @@ class CompiledDesign:
     mems: list[MemSpec]
     registers: list[RegisterSpec]
     comb: object                 # comb(v, w, m) -> None
-    tick: object                 # tick(v, w, m, time) -> None
+    tick: object                 # tick(v, w, m, time, _jw, _ch) -> mem written
     comb_source: str
     tick_source: str
     hierarchy: HierNode
@@ -119,27 +147,21 @@ class CompiledDesign:
     # Signals wider than one 64-bit storage lane: generated code reads and
     # writes them through the wide overflow dict (``w``), never ``v``.
     wide_indices: frozenset = frozenset()
-    # journaling tick variant: tick_journal(v, w, m, time, _jw) additionally
-    # calls _jw((mem_index, addr)) for every memory word it writes.
-    tick_journal: object = None
-    tick_journal_source: str = ""
-    # activity-tracked tick variants: call _ch(index) for every register
-    # whose value actually changed on the edge and return truthy when any
-    # memory word was written — the engine re-settles only that activity.
+    # Always None: the one ``tick`` replaced these variants, but
+    # ``perfbench/tracing.py`` still looks each of them up on every new
+    # design, so they stay until it asks for ``tick`` alone.
     tick_act: object = None
-    tick_act_source: str = ""
+    tick_journal: object = None
     tick_act_journal: object = None
-    tick_act_journal_source: str = ""
+    # Every lowered statement, in lowering order (see :class:`Lowered`).
+    schedule: list[Lowered] = field(default_factory=list)
     # Per-assignment metadata, aligned with the levelized topo order.
     order_targets: list[int] = field(default_factory=list)
     order_code: list[str] = field(default_factory=list)
     order_deps: list[frozenset] = field(default_factory=list)
     order_reads_mem: list[bool] = field(default_factory=list)
-    # Level structure of the schedule: same-level assignments are mutually
-    # independent.  Introspection / future multi-seed cone batching (see
-    # ROADMAP); the cone machinery itself only relies on the level *sort*.
+    # Level of each assignment: one past its deepest combinational input.
     order_level: list[int] = field(default_factory=list)
-    level_blocks: list[tuple[int, int]] = field(default_factory=list)
     state_indices: tuple[int, ...] = ()
     namespace: dict = field(default_factory=dict)
     _pos_of_target: dict[int, int] = field(default_factory=dict)
@@ -472,12 +494,9 @@ def compile_design(circuit: Circuit, top_path: str | None = None) -> CompiledDes
     signals: list[SignalInfo] = []
     mems: list[MemSpec] = []
     mem_index: dict[str, int] = {}
-    assignments: list[tuple[int, str, str]] = []  # (target, code, target_path)
+    schedule: list[Lowered] = []
     registers: list[RegisterSpec] = []
-    stop_lines: list[str] = []
-    mem_ops: list[tuple[str, str, str, int, int]] = []  # (en, addr, data, mi, depth)
     printf_specs: list[tuple[str, int]] = []
-    reads_mem: dict[int, bool] = {}
 
     def add_signal(path: str, width: int, kind: str, signed: bool, local: str) -> int:
         idx = len(signals)
@@ -539,199 +558,149 @@ def compile_design(circuit: Circuit, top_path: str | None = None) -> CompiledDes
     def lane(idx: int) -> str:
         return _lane_expr(idx, wide_indices)
 
-    # Pass 2: generate assignments / register specs / tick effects.
+    # Pass 2: lower every statement once, instance by instance in statement
+    # order, into the schedule both tick printers read.
     dep_map: dict[int, set[int]] = {}
-    assigned: set[int] = set()
+    reads_mem: dict[int, bool] = {}
+
+    def lower(cg: _Codegen, kind: str, key: int, *exprs: Expr) -> Lowered:
+        entry = Lowered(kind, key, cg.path, exprs, tuple(map(cg.raw, exprs)))
+        schedule.append(entry)
+        return entry
+
+    def lower_comb(cg: _Codegen, target: int, value: Expr) -> None:
+        lower(cg, "comb", target, value)
+        reads_mem[target] = _expr_reads_mem(value)
+        dep_map[target] = {
+            signal_index[k]
+            for k in _expr_dep_keys(value, cg.path)
+            if k in signal_index
+        }
 
     for path, mod_name in instances:
         m = circuit.modules[mod_name]
         cg = _Codegen(path, signal_index, mem_index, mems, wide_indices)
-        reg_names = {s.name for s in m.body if isinstance(s, DefRegister)}
         reg_decl = {s.name: s for s in m.body if isinstance(s, DefRegister)}
-        reg_next: dict[str, str] = {}
+        reg_next: dict[str, Lowered] = {}
 
         for s in m.body:
             if isinstance(s, DefNode):
-                target = cg.sig(s.name)
-                assignments.append((target, cg.raw(s.value), path))
-                assigned.add(target)
-                reads_mem[target] = _expr_reads_mem(s.value)
-                dep_map[target] = {
-                    signal_index[k]
-                    for k in _expr_dep_keys(s.value, path)
-                    if k in signal_index
-                }
+                lower_comb(cg, cg.sig(s.name), s.value)
             elif isinstance(s, Connect):
-                if isinstance(s.loc, Ref) and s.loc.name in reg_names:
-                    reg_next[s.loc.name] = cg.raw(s.expr)
-                    continue
-                if isinstance(s.loc, Ref):
-                    target = cg.sig(s.loc.name)
+                if isinstance(s.loc, Ref) and s.loc.name in reg_decl:
+                    reg_next[s.loc.name] = lower(
+                        cg, "next", cg.sig(s.loc.name), s.expr
+                    )
+                elif isinstance(s.loc, Ref):
+                    lower_comb(cg, cg.sig(s.loc.name), s.expr)
                 else:  # SubField -> instance input port
                     inst = s.loc.expr.name  # type: ignore[union-attr]
-                    target = cg.sig(f"{inst}.{s.loc.name}")
-                assignments.append((target, cg.raw(s.expr), path))
-                assigned.add(target)
-                reads_mem[target] = _expr_reads_mem(s.expr)
-                dep_map[target] = {
-                    signal_index[k]
-                    for k in _expr_dep_keys(s.expr, path)
-                    if k in signal_index
-                }
+                    lower_comb(cg, cg.sig(f"{inst}.{s.loc.name}"), s.expr)
             elif isinstance(s, MemWrite):
                 mi = mem_index[f"{path}.{s.mem}"]
-                depth = mems[mi].depth
-                mem_ops.append((cg.raw(s.en), cg.raw(s.addr), cg.raw(s.data), mi, depth))
+                lower(cg, "write", mi, s.en, s.addr, s.data)
             elif isinstance(s, Stop):
-                stop_lines.append(
-                    f"    if {cg.raw(s.cond)}: "
-                    f"raise SimulationFinished({s.exit_code}, time)"
-                )
+                lower(cg, "stop", s.exit_code, s.cond)
             elif isinstance(s, Printf):
-                pi = len(printf_specs)
+                lower(cg, "printf", len(printf_specs), s.cond, *s.args)
                 printf_specs.append((s.fmt, len(s.args)))
-                args = "".join(f", {cg.raw(a)}" for a in s.args)
-                stop_lines.append(f"    if {cg.raw(s.cond)}: _pf({pi}{args})")
 
-        for name, code in reg_next.items():
+        # Assigned registers first, in connect order, then the reset-only
+        # ones; a register neither assigned nor reset holds its value.
+        for name in [*reg_next, *(n for n in reg_decl if n not in reg_next)]:
             decl = reg_decl[name]
-            reset_idx = None
-            init_code = None
-            if decl.reset is not None and decl.init is not None:
-                reset_idx = signal_index[next(iter(_expr_dep_keys(decl.reset, path)))]
-                init_code = cg.raw(decl.init)
-            registers.append(
-                RegisterSpec(cg.sig(name), decl.typ.bit_width(), code, reset_idx, init_code)
-            )
-        for name, decl in reg_decl.items():
-            if name not in reg_next and decl.reset is not None and decl.init is not None:
-                reset_idx = signal_index[next(iter(_expr_dep_keys(decl.reset, path)))]
-                registers.append(
-                    RegisterSpec(
-                        cg.sig(name), decl.typ.bit_width(),
-                        None, reset_idx, cg.raw(decl.init),
-                    )
-                )
+            nxt = reg_next.get(name)
+            has_reset = decl.reset is not None and decl.init is not None
+            if nxt is None and not has_reset:
+                continue
+            idx = cg.sig(name)
+            reset_idx: int | None = None
+            init_code: str | None = None
+            if has_reset:
+                dep = next(iter(_expr_dep_keys(decl.reset, path)))
+                reset_idx = signal_index[dep]
+                init_code = lower(cg, "init", idx, decl.init).code[0]
+            next_code = None if nxt is None else nxt.code[0]
+            registers.append(RegisterSpec(
+                idx, decl.typ.bit_width(), next_code, reset_idx, init_code
+            ))
 
     # Topological sort of combinational assignments, then levelize: each
     # assignment's level is one past the deepest combinational input it
     # reads.  Re-ordering by level is still a valid topo order (same-level
-    # assignments are independent) and partitions the schedule into blocks.
-    order = _topo_sort(assignments, dep_map, assigned, signals)
+    # assignments are independent).  ``dep_map`` holds exactly the
+    # combinationally assigned signals.
+    order = _topo_sort(
+        [e for e in schedule if e.kind == "comb"], dep_map, signals
+    )
     level_of: dict[int, int] = {}
-    for target, _code, _path in order:
-        comb_deps = [d for d in dep_map[target] if d in assigned and d != target]
+    for entry in order:
+        target = entry.key
+        comb_deps = [d for d in dep_map[target] if d in dep_map and d != target]
         level_of[target] = 1 + max((level_of[d] for d in comb_deps), default=-1)
-    order.sort(key=lambda a: level_of[a[0]])
-
-    order_targets = [t for t, _c, _p in order]
-    order_code = [c for _t, c, _p in order]
-    order_deps = [frozenset(dep_map[t]) for t in order_targets]
-    order_reads_mem = [reads_mem[t] for t in order_targets]
-    order_level = [level_of[t] for t in order_targets]
-    level_blocks: list[tuple[int, int]] = []
-    start = 0
-    for i in range(1, len(order_level) + 1):
-        if i == len(order_level) or order_level[i] != order_level[start]:
-            level_blocks.append((start, i))
-            start = i
+    order.sort(key=lambda e: level_of[e.key])
+    order_targets = [e.key for e in order]
+    order_code = [e.code[0] for e in order]
 
     comb_lines = ["def comb(v, w, m):"]
     if not order:
         comb_lines.append("    pass")
-    for target, code, _path in order:
+    for target, code in zip(order_targets, order_code, strict=True):
         comb_lines.append(f"    {lane(target)} = {code}")
     comb_source = "\n".join(comb_lines)
 
-    def _mem_block(journal: bool, activity: bool) -> list[str]:
-        out = []
-        for wi, (en, addr, data, mi, depth) in enumerate(mem_ops):
-            if journal:
-                lines = [
-                    f"    if {en}:",
-                    f"        _ja{wi} = {addr} % {depth}",
-                    f"        _jw(({mi}, _ja{wi}))",
-                    f"        m[{mi}][_ja{wi}] = {data}",
-                ]
-                if activity:
-                    lines.insert(1, "        _mw = 1")
-                out.append("\n".join(lines))
-            elif activity:
-                out.append(
-                    f"    if {en}:\n"
-                    f"        _mw = 1\n"
-                    f"        m[{mi}][{addr} % {depth}] = {data}"
+    # Order matters: stops/printfs observe the stable pre-edge state;
+    # register next-values are computed before memory writes so they read
+    # pre-edge memory contents; stores happen last (two-phase update).
+    body = ["def tick(v, w, m, time, _jw, _ch):"]
+    for e in schedule:
+        if e.kind == "stop":
+            body.append(
+                f"    if {e.code[0]}: raise SimulationFinished({e.key}, time)"
+            )
+        elif e.kind == "printf":
+            args = "".join(f", {c}" for c in e.code[1:])
+            body.append(f"    if {e.code[0]}: _pf({e.key}{args})")
+    body.append("    _mw = 0")
+    for i, spec in enumerate(registers):
+        if spec.next_code is not None:
+            body.append(f"    _t{i} = {spec.next_code}")
+    writes = [e for e in schedule if e.kind == "write"]
+    for wi, e in enumerate(writes):
+        en, addr, data = e.code
+        body += [
+            f"    if {en}:",
+            "        _mw = 1",
+            f"        _ja{wi} = {addr} % {mems[e.key].depth}",
+            f"        if _jw is not None: _jw(({e.key}, _ja{wi}))",
+            f"        m[{e.key}][_ja{wi}] = {data}",
+        ]
+    for i, spec in enumerate(registers):
+        # Store-and-report only on an actual change: the engine
+        # re-settles just the reported registers' fanout.
+        slot = lane(spec.index)
+        if spec.next_code is not None:
+            if spec.reset_index is not None:
+                body.append(
+                    f"    _n{i} = {spec.init_code} "
+                    f"if {lane(spec.reset_index)} else _t{i}"
                 )
             else:
-                out.append(f"    if {en}: m[{mi}][{addr} % {depth}] = {data}")
-        return out
-
-    def _tick_source(header: str, journal: bool, activity: bool) -> str:
-        body = [header]
-        # Order matters: stops/printfs observe the stable pre-edge state;
-        # register next-values are computed before memory writes so they
-        # read pre-edge memory contents; stores happen last (two-phase
-        # update).
-        body.extend(stop_lines)
-        if activity:
-            body.append("    _mw = 0")
-        for i, spec in enumerate(registers):
-            if spec.next_code is not None:
-                body.append(f"    _t{i} = {spec.next_code}")
-        body.extend(_mem_block(journal, activity))
-        for i, spec in enumerate(registers):
-            slot = lane(spec.index)
-            if activity:
-                # Store-and-report only on an actual change: the engine
-                # re-settles just the reported registers' fanout.
-                if spec.next_code is not None:
-                    if spec.reset_index is not None:
-                        body.append(
-                            f"    _n{i} = {spec.init_code} "
-                            f"if {lane(spec.reset_index)} else _t{i}"
-                        )
-                    else:
-                        body.append(f"    _n{i} = _t{i}")
-                    body.append(
-                        f"    if {slot} != _n{i}:\n"
-                        f"        {slot} = _n{i}\n"
-                        f"        _ch({spec.index})"
-                    )
-                elif spec.reset_index is not None:
-                    body.append(
-                        f"    if {lane(spec.reset_index)} "
-                        f"and {slot} != ({spec.init_code}):\n"
-                        f"        {slot} = {spec.init_code}\n"
-                        f"        _ch({spec.index})"
-                    )
-            elif spec.next_code is not None:
-                if spec.reset_index is not None:
-                    body.append(
-                        f"    {slot} = {spec.init_code} "
-                        f"if {lane(spec.reset_index)} else _t{i}"
-                    )
-                else:
-                    body.append(f"    {slot} = _t{i}")
-            elif spec.reset_index is not None:
-                body.append(
-                    f"    if {lane(spec.reset_index)}: {slot} = {spec.init_code}"
-                )
-        if activity:
-            body.append("    return _mw")
-        if len(body) == 1:
-            body.append("    pass")
-        return "\n".join(body)
-
-    tick_source = _tick_source("def tick(v, w, m, time):", False, False)
-    tick_journal_source = _tick_source(
-        "def tick_journal(v, w, m, time, _jw):", True, False
-    )
-    tick_act_source = _tick_source(
-        "def tick_act(v, w, m, time, _ch):", False, True
-    )
-    tick_act_journal_source = _tick_source(
-        "def tick_act_journal(v, w, m, time, _jw, _ch):", True, True
-    )
+                body.append(f"    _n{i} = _t{i}")
+            body.append(
+                f"    if {slot} != _n{i}:\n"
+                f"        {slot} = _n{i}\n"
+                f"        _ch({spec.index})"
+            )
+        else:
+            body.append(
+                f"    if {lane(spec.reset_index)} "
+                f"and {slot} != ({spec.init_code}):\n"
+                f"        {slot} = {spec.init_code}\n"
+                f"        _ch({spec.index})"
+            )
+    body.append("    return _mw")
+    tick_source = "\n".join(body)
 
     namespace = {
         **HELPERS,
@@ -740,15 +709,6 @@ def compile_design(circuit: Circuit, top_path: str | None = None) -> CompiledDes
     }
     exec(compile(comb_source, "<repro-sim-comb>", "exec"), namespace)
     exec(compile(tick_source, "<repro-sim-tick>", "exec"), namespace)
-    exec(
-        compile(tick_journal_source, "<repro-sim-tick-journal>", "exec"),
-        namespace,
-    )
-    exec(compile(tick_act_source, "<repro-sim-tick-act>", "exec"), namespace)
-    exec(
-        compile(tick_act_journal_source, "<repro-sim-tick-act-journal>", "exec"),
-        namespace,
-    )
 
     main_mod = circuit.modules[circuit.main]
     top_inputs = {
@@ -758,7 +718,7 @@ def compile_design(circuit: Circuit, top_path: str | None = None) -> CompiledDes
     }
 
     state_indices = tuple(
-        i for i in range(len(signals)) if i not in assigned
+        i for i in range(len(signals)) if i not in dep_map
     )
 
     return CompiledDesign(
@@ -778,38 +738,32 @@ def compile_design(circuit: Circuit, top_path: str | None = None) -> CompiledDes
         printf_specs=printf_specs,
         mem_index=mem_index,
         wide_indices=wide_indices,
-        tick_journal=namespace["tick_journal"],
-        tick_journal_source=tick_journal_source,
-        tick_act=namespace["tick_act"],
-        tick_act_source=tick_act_source,
-        tick_act_journal=namespace["tick_act_journal"],
-        tick_act_journal_source=tick_act_journal_source,
+        schedule=schedule,
         order_targets=order_targets,
         order_code=order_code,
-        order_deps=order_deps,
-        order_reads_mem=order_reads_mem,
-        order_level=order_level,
-        level_blocks=level_blocks,
+        order_deps=[frozenset(dep_map[t]) for t in order_targets],
+        order_reads_mem=[reads_mem[t] for t in order_targets],
+        order_level=[level_of[t] for t in order_targets],
         state_indices=state_indices,
         namespace=namespace,
         _pos_of_target={t: p for p, t in enumerate(order_targets)},
     )
 
 
-def _topo_sort(assignments, dep_map, assigned, signals):
-    """Kahn's algorithm over the comb assignment graph."""
-    by_target = {t: (t, code, path) for t, code, path in assignments}
-    if len(by_target) != len(assignments):
+def _topo_sort(combs, dep_map, signals):
+    """Kahn's algorithm over the comb assignments (``Lowered`` entries)."""
+    by_target = {e.key: e for e in combs}
+    if len(by_target) != len(combs):
         raise SimulatorError("duplicate combinational drivers (internal)")
     indeg: dict[int, int] = {}
     fanout: dict[int, list[int]] = {}
     for t, deps in dep_map.items():
-        comb_deps = [d for d in deps if d in assigned and d != t]
+        comb_deps = [d for d in deps if d in dep_map and d != t]
         indeg[t] = len(comb_deps)
         for d in comb_deps:
             fanout.setdefault(d, []).append(t)
     ready = [t for t, n in indeg.items() if n == 0]
-    order: list[tuple[int, str, str]] = []
+    order: list[Lowered] = []
     while ready:
         t = ready.pop()
         order.append(by_target[t])
@@ -817,7 +771,7 @@ def _topo_sort(assignments, dep_map, assigned, signals):
             indeg[u] -= 1
             if indeg[u] == 0:
                 ready.append(u)
-    if len(order) != len(assignments):
+    if len(order) != len(combs):
         stuck = [signals[t].path for t, n in indeg.items() if n > 0]
         raise CombLoopError(
             "combinational loop involving: " + ", ".join(sorted(stuck)[:10])
@@ -865,20 +819,19 @@ class VectorKernels:
     memories — (worlds, depth) uint64 arrays for narrow memories, lists of
     per-world python lists for wide ones.
 
-    ``vtick(v, w, m, time, _act, _stop)`` takes the active-world bool mask
-    and a stop callback ``_stop(exit_code, mask, time)``; memory writes and
-    stop/printf effects are masked by ``_act`` so finished worlds freeze,
-    while register/comb columns keep advancing (the simulator archives a
-    finished world's state at stop time).
+    ``vtick(v, w, m, time, _act, _stop, _jw)`` takes the active-world bool
+    mask and a stop callback ``_stop(exit_code, mask, time)``; memory writes
+    and stop/printf effects are masked by ``_act`` so finished worlds
+    freeze, while register/comb columns keep advancing (the simulator
+    archives a finished world's state at stop time).  When ``_jw`` is not
+    None every memory word written is journaled as ``(mi, (world, addr))``.
     """
 
     worlds: int
     vcomb: object
     vtick: object
-    vtick_journal: object
     vcomb_source: str
     vtick_source: str
-    vtick_journal_source: str
     namespace: dict
     n_vector: int
     n_scalar: int
@@ -985,6 +938,11 @@ class _VecCodegen(_Codegen):
 
     def interp(self, e: Expr) -> str:
         if isinstance(e, Literal):
+            # Ordered compares and right shifts read the lane as its exact
+            # value (an int64 when signed), not just its residue mod 2**64.
+            lo = -(1 << 63) if isinstance(e.typ, SIntType) else 0
+            if not lo <= e.value < lo + (1 << LANE_BITS):
+                raise _NeedScalar("wide literal")
             return str(e.value & _FULL64)
         if isinstance(e.typ, SIntType):
             w = e.typ.width
@@ -1191,6 +1149,9 @@ class _WorldMems:
 
 
 def _mkjw(mi, k, jw):
+    if jw is None:  # no history: nothing to journal
+        return None
+
     def rec(a):
         jw((mi, (k, a)))
     return rec
@@ -1369,127 +1330,45 @@ def compile_vector(design: CompiledDesign, worlds: int) -> VectorKernels:
     if cached is not None:
         return cached
 
-    circuit = design.circuit
-    root = design.hierarchy.path
     wide = design.wide_indices
     mems = design.mems
-
-    instances: list[tuple[str, str]] = []
-
-    def visit(path: str, mod_name: str) -> None:
-        instances.append((path, mod_name))
-        for s in circuit.modules[mod_name].body:
-            if isinstance(s, DefInstance):
-                visit(f"{path}.{s.name}", s.module)
-
-    visit(root, circuit.main)
-
-    def vec(fn, *args):
-        try:
-            return fn(*args)
-        except _NeedScalar:
-            return None
-
-    # Re-walk the retained IR in compile_design's exact statement order,
-    # regenerating a vector expression per statement (or None = fallback).
     consts: dict[int, str] = {}  # np.uint64 constant pool, all instances
-    assign_vec: dict[int, str | None] = {}
-    reg_entries: list[dict] = []
-    effects: list[dict] = []
-    mem_entries: list[dict] = []
-    n_printf = 0
 
-    for path, mod_name in instances:
-        m = circuit.modules[mod_name]
-        cg = _Codegen(path, design.signal_index, design.mem_index, mems, wide)
+    def vec(entry: Lowered) -> list[str | None]:
+        """Vector code for each of the entry's expressions (None: the
+        expression falls back to its scalar code)."""
         vg = _VecCodegen(
-            path, design.signal_index, design.mem_index, mems, wide, consts
+            entry.path, design.signal_index, design.mem_index, mems, wide,
+            consts,
         )
-        reg_names = {s.name for s in m.body if isinstance(s, DefRegister)}
-        reg_decl = {s.name: s for s in m.body if isinstance(s, DefRegister)}
-        reg_next: dict[str, str | None] = {}
+        out: list[str | None] = []
+        for e in entry.exprs:
+            try:
+                out.append(vg.raw(e))
+            except _NeedScalar:
+                out.append(None)
+        return out
 
-        for s in m.body:
-            if isinstance(s, DefNode):
-                target = cg.sig(s.name)
-                assign_vec[target] = (
-                    None if target in wide else vec(vg.raw, s.value)
-                )
-            elif isinstance(s, Connect):
-                if isinstance(s.loc, Ref) and s.loc.name in reg_names:
-                    reg_next[s.loc.name] = vec(vg.raw, s.expr)
-                    continue
-                if isinstance(s.loc, Ref):
-                    target = cg.sig(s.loc.name)
-                else:
-                    inst = s.loc.expr.name  # type: ignore[union-attr]
-                    target = cg.sig(f"{inst}.{s.loc.name}")
-                assign_vec[target] = (
-                    None if target in wide else vec(vg.raw, s.expr)
-                )
-            elif isinstance(s, MemWrite):
-                mi = design.mem_index[f"{path}.{s.mem}"]
-                trip = None
-                if mems[mi].width <= LANE_BITS:
-                    parts = (vec(vg.raw, s.en), vec(vg.raw, s.addr),
-                             vec(vg.raw, s.data))
-                    if None not in parts:
-                        trip = parts
-                mem_entries.append({
-                    "vec": trip,
-                    "scalar": (cg.raw(s.en), cg.raw(s.addr), cg.raw(s.data)),
-                    "mi": mi, "depth": mems[mi].depth,
-                })
-            elif isinstance(s, Stop):
-                effects.append({
-                    "kind": "stop",
-                    "vec": vec(vg.raw, s.cond),
-                    "scalar": cg.raw(s.cond),
-                    "code": s.exit_code,
-                })
-            elif isinstance(s, Printf):
-                pi = n_printf
-                n_printf += 1
-                cond_v = vec(vg.raw, s.cond)
-                args_v = [vec(vg.raw, arg) for arg in s.args]
-                if cond_v is None or None in args_v:
-                    cond_v = None
-                effects.append({
-                    "kind": "printf", "pi": pi,
-                    "vec": cond_v, "vec_args": args_v,
-                    "scalar": cg.raw(s.cond),
-                    "scalar_args": [cg.raw(arg) for arg in s.args],
-                })
-
-        for name, next_v in reg_next.items():
-            decl = reg_decl[name]
-            idx = cg.sig(name)
-            entry = {"index": idx, "next_v": None if idx in wide else next_v,
-                     "reset": None, "init_v": None}
-            if decl.reset is not None and decl.init is not None:
-                entry["reset"] = design.signal_index[
-                    next(iter(_expr_dep_keys(decl.reset, path)))
-                ]
-                entry["init_v"] = (
-                    None if idx in wide else vec(vg.raw, decl.init)
-                )
-            reg_entries.append(entry)
-        for name, decl in reg_decl.items():
-            if (name not in reg_next and decl.reset is not None
-                    and decl.init is not None):
-                idx = cg.sig(name)
-                reg_entries.append({
-                    "index": idx, "next_v": None,
-                    "reset": design.signal_index[
-                        next(iter(_expr_dep_keys(decl.reset, path)))
-                    ],
-                    "init_v": None if idx in wide else vec(vg.raw, decl.init),
-                })
-
-    if set(assign_vec) != set(design.order_targets):
-        raise SimulatorError("internal: vector comb walk mismatch")
-    if n_printf != len(design.printf_specs):
-        raise SimulatorError("internal: vector printf walk mismatch")
+    # Vectorize the schedule in lowering order.  A write or an effect
+    # vectorizes whole or falls back whole.
+    assign_vec: dict[int, str | None] = {}
+    next_vec: dict[int, str | None] = {}
+    init_vec: dict[int, str | None] = {}
+    writes: list[tuple[Lowered, list | None]] = []
+    effects: list[tuple[Lowered, list | None]] = []
+    for entry in design.schedule:
+        kind, key = entry.kind, entry.key
+        if kind in ("comb", "init"):
+            code = None if key in wide else vec(entry)[0]
+            (assign_vec if kind == "comb" else init_vec)[key] = code
+        elif kind == "next":
+            next_vec[key] = vec(entry)[0]
+        elif kind == "write" and mems[key].width > LANE_BITS:
+            writes.append((entry, None))
+        else:
+            codes = vec(entry)
+            part = writes if kind == "write" else effects
+            part.append((entry, None if None in codes else codes))
 
     sfn_src: list[str] = []
     n_vector = 0
@@ -1518,35 +1397,31 @@ def compile_vector(design: CompiledDesign, worlds: int) -> VectorKernels:
     vcomb_source = "\n".join(comb_lines)
 
     # Effects: shared per-world scalar condition/arg functions.
-    for si, eff in enumerate(effects):
-        if eff["vec"] is not None:
+    for si, (entry, codes) in enumerate(effects):
+        if codes is not None:
             n_vector += 1
             continue
         n_scalar += 1
-        if eff["kind"] == "stop":
+        if entry.kind == "stop":
             sfn_src.append(
-                f"def _scond{si}(v, w, m):\n    return {eff['scalar']}"
+                f"def _scond{si}(v, w, m):\n    return {entry.code[0]}"
             )
         else:
             sfn_src.append(
-                f"def _spfc{si}(v, w, m):\n    return {eff['scalar']}"
+                f"def _spfc{si}(v, w, m):\n    return {entry.code[0]}"
             )
-            args = ", ".join(eff["scalar_args"])
+            args = ", ".join(entry.code[1:])
             tail = f"({args},)" if args else "()"
             sfn_src.append(f"def _spfa{si}(v, w, m):\n    return {tail}")
 
     # Registers: decide vector vs fallback per register as one unit.
     reg_vec_ok: list[bool] = []
-    for i, (spec, ent) in enumerate(
-        zip(design.registers, reg_entries, strict=True)
-    ):
-        if spec.index != ent["index"] or spec.reset_index != ent["reset"]:
-            raise SimulatorError("internal: vector register walk mismatch")
-        ok = spec.index not in wide
-        if spec.next_code is not None and ent["next_v"] is None:
-            ok = False
-        if spec.reset_index is not None and ent["init_v"] is None:
-            ok = False
+    for i, spec in enumerate(design.registers):
+        ok = (
+            spec.index not in wide
+            and (spec.next_code is None or next_vec[spec.index] is not None)
+            and (spec.reset_index is None or init_vec[spec.index] is not None)
+        )
         reg_vec_ok.append(ok)
         if ok:
             n_vector += 1
@@ -1571,196 +1446,171 @@ def compile_vector(design: CompiledDesign, worlds: int) -> VectorKernels:
             )
 
     # Memory writes.
-    for wi, me in enumerate(mem_entries):
-        if me["vec"] is not None:
+    for wi, (entry, codes) in enumerate(writes):
+        if codes is not None:
             n_vector += 1
             continue
         n_scalar += 1
-        en, addr, data = me["scalar"]
-        mi, depth = me["mi"], me["depth"]
-        sfn_src.append(
-            f"def _smw{wi}(v, w, m):\n"
-            f"    if {en}: m[{mi}][{addr} % {depth}] = {data}"
-        )
+        en, addr, data = entry.code
         sfn_src.append(
             f"def _smwj{wi}(v, w, m, _rec):\n"
             f"    if {en}:\n"
-            f"        _ja = {addr} % {depth}\n"
-            f"        _rec(_ja)\n"
-            f"        m[{mi}][_ja] = {data}"
+            f"        _ja = {addr} % {mems[entry.key].depth}\n"
+            f"        if _rec is not None: _rec(_ja)\n"
+            f"        m[{entry.key}][_ja] = {data}"
         )
 
-    need_adapters = (
-        any(e["vec"] is None for e in effects)
-        or any(not ok for ok in reg_vec_ok)
-        or any(me["vec"] is None for me in mem_entries)
-    )
-
-    def build_tick(name: str, journal: bool) -> str:
-        extra = ", _jw" if journal else ""
-        body = [f"def {name}(v, w, m, time, _act, _stop{extra}):"]
-        if need_adapters:
-            body.append("    _A = _mkadp(v, w, m)")
-        # Same phase order as the scalar tick: stops/printfs observe the
-        # stable pre-edge state, register next-values are computed before
-        # memory writes, stores happen last.  Effects and memory writes are
-        # masked by _act; _stop mutates _act in place so a world that
-        # finishes at this edge is frozen for the rest of the tick.
-        for si, eff in enumerate(effects):
-            if eff["kind"] == "stop":
-                if eff["vec"] is not None:
-                    body += [
-                        f"    _sm{si} = _vmask({eff['vec']})",
-                        f"    if _sm{si} is not None:",
-                        f"        _sm{si} &= _act",
-                        f"        if _sm{si}.any(): "
-                        f"_stop({eff['code']}, _sm{si}, time)",
-                    ]
-                else:
-                    body += [
-                        f"    _sm{si} = _ZW.copy()",
-                        "    for _k in _RWL:",
-                        f"        if _act[_k] and _scond{si}(*_A[_k]): "
-                        f"_sm{si}[_k] = True",
-                        f"    if _sm{si}.any(): "
-                        f"_stop({eff['code']}, _sm{si}, time)",
-                    ]
-            elif eff["vec"] is not None:
-                args = "".join(f", ({c})" for c in eff["vec_args"])
+    body = ["def vtick(v, w, m, time, _act, _stop, _jw):"]
+    if (
+        any(codes is None for _e, codes in effects)
+        or not all(reg_vec_ok)
+        or any(codes is None for _e, codes in writes)
+    ):
+        body.append("    _A = _mkadp(v, w, m)")
+    # Same phase order as the scalar tick: stops/printfs observe the
+    # stable pre-edge state, register next-values are computed before
+    # memory writes, stores happen last.  Effects and memory writes are
+    # masked by _act; _stop mutates _act in place so a world that
+    # finishes at this edge is frozen for the rest of the tick.
+    for si, (entry, codes) in enumerate(effects):
+        if entry.kind == "stop":
+            if codes is not None:
                 body += [
-                    f"    _pm{si} = _vmask({eff['vec']})",
-                    f"    if _pm{si} is not None:",
-                    f"        _pm{si} &= _act",
-                    f"        if _pm{si}.any(): _pfv({eff['pi']}, _pm{si}{args})",
+                    f"    _sm{si} = _vmask({codes[0]})",
+                    f"    if _sm{si} is not None:",
+                    f"        _sm{si} &= _act",
+                    f"        if _sm{si}.any(): "
+                    f"_stop({entry.key}, _sm{si}, time)",
                 ]
             else:
                 body += [
+                    f"    _sm{si} = _ZW.copy()",
                     "    for _k in _RWL:",
-                    f"        if _act[_k] and _spfc{si}(*_A[_k]): "
-                    f"_pfk({eff['pi']}, _k, _spfa{si}(*_A[_k]))",
+                    f"        if _act[_k] and _scond{si}(*_A[_k]): "
+                    f"_sm{si}[_k] = True",
+                    f"    if _sm{si}.any(): "
+                    f"_stop({entry.key}, _sm{si}, time)",
                 ]
-        for i, (spec, ent) in enumerate(
-            zip(design.registers, reg_entries, strict=True)
-        ):
-            if spec.next_code is None:
-                continue
-            if reg_vec_ok[i]:
-                code = ent["next_v"]
-                if _BARE_ROW_RE.fullmatch(code):
-                    code = f"({code}).copy()"  # defer: row mutates in stores
-                body.append(f"    _t{i} = {code}")
-            else:
-                body.append(f"    _t{i} = [_sr{i}(*_A[_k]) for _k in _RWL]")
-        for wi, me in enumerate(mem_entries):
-            mi, depth = me["mi"], me["depth"]
-            if me["vec"] is not None:
-                en, addr, data = me["vec"]
-                body += [
-                    f"    _wm{wi} = _vmask({en})",
-                    f"    if _wm{wi} is not None:",
-                    f"        _wm{wi} &= _act",
-                    f"        if _wm{wi}.any():",
-                    f"            _wk{wi} = _wm{wi}.nonzero()[0]",
-                    f"            _wa{wi} = _vidx(({addr}) % {depth}, _wk{wi})",
-                ]
-                if journal:
-                    body.append(
-                        f"            for _kk, _aa in _vjw(_wk{wi}, _wa{wi}): "
-                        f"_jw(({mi}, (_kk, _aa)))"
-                    )
-                body.append(
-                    f"            m[{mi}][_wk{wi}, _wa{wi}] = "
-                    f"_vidx({data}, _wk{wi})"
-                )
-            elif journal:
-                body += [
-                    "    for _k in _RWL:",
-                    f"        if _act[_k]: "
-                    f"_smwj{wi}(*_A[_k], _mkjw({mi}, _k, _jw))",
-                ]
-            else:
-                body += [
-                    "    for _k in _RWL:",
-                    f"        if _act[_k]: _smw{wi}(*_A[_k])",
-                ]
-        # Register stores.  Reset is low for virtually every tick of a
-        # run, so runs of vector registers sharing one reset row are
-        # guarded by a single hoisted ``.any()``: the common path does a
-        # plain row store per register instead of a np.where.  Hoisting
-        # is skipped for a reset row that is itself a register target
-        # this tick (the per-store read stays, matching the scalar tick).
-        reg_rows = {spec.index for spec in design.registers}
-        run_rst: int | None = None
-        run_hot: list[str] = []
-        run_cold: list[str] = []
-        hoisted: set[int] = set()
+        elif codes is not None:
+            args = "".join(f", ({c})" for c in codes[1:])
+            body += [
+                f"    _pm{si} = _vmask({codes[0]})",
+                f"    if _pm{si} is not None:",
+                f"        _pm{si} &= _act",
+                f"        if _pm{si}.any(): _pfv({entry.key}, _pm{si}{args})",
+            ]
+        else:
+            body += [
+                "    for _k in _RWL:",
+                f"        if _act[_k] and _spfc{si}(*_A[_k]): "
+                f"_pfk({entry.key}, _k, _spfa{si}(*_A[_k]))",
+            ]
+    for i, spec in enumerate(design.registers):
+        if spec.next_code is None:
+            continue
+        if reg_vec_ok[i]:
+            code = next_vec[spec.index]
+            if _BARE_ROW_RE.fullmatch(code):
+                code = f"({code}).copy()"  # defer: row mutates in stores
+            body.append(f"    _t{i} = {code}")
+        else:
+            body.append(f"    _t{i} = [_sr{i}(*_A[_k]) for _k in _RWL]")
+    for wi, (entry, codes) in enumerate(writes):
+        mi, depth = entry.key, mems[entry.key].depth
+        if codes is not None:
+            en, addr, data = codes
+            body += [
+                f"    _wm{wi} = _vmask({en})",
+                f"    if _wm{wi} is not None:",
+                f"        _wm{wi} &= _act",
+                f"        if _wm{wi}.any():",
+                f"            _wk{wi} = _wm{wi}.nonzero()[0]",
+                f"            _wa{wi} = _vidx(({addr}) % {depth}, _wk{wi})",
+                "            if _jw is not None:",
+                f"                for _kk, _aa in _vjw(_wk{wi}, _wa{wi}): "
+                f"_jw(({mi}, (_kk, _aa)))",
+                f"            m[{mi}][_wk{wi}, _wa{wi}] = "
+                f"_vidx({data}, _wk{wi})",
+            ]
+        else:
+            body += [
+                "    for _k in _RWL:",
+                f"        if _act[_k]: "
+                f"_smwj{wi}(*_A[_k], _mkjw({mi}, _k, _jw))",
+            ]
+    # Register stores.  Reset is low for virtually every tick of a
+    # run, so runs of vector registers sharing one reset row are
+    # guarded by a single hoisted ``.any()``: the common path does a
+    # plain row store per register instead of a np.where.  Hoisting
+    # is skipped for a reset row that is itself a register target
+    # this tick (the per-store read stays, matching the scalar tick).
+    reg_rows = {spec.index for spec in design.registers}
+    run_rst: int | None = None
+    run_hot: list[str] = []
+    run_cold: list[str] = []
+    hoisted: set[int] = set()
 
-        def flush_run() -> None:
-            nonlocal run_rst
-            if run_rst is None:
-                return
-            if run_rst not in hoisted:
-                hoisted.add(run_rst)
-                body.append(f"    _rr{run_rst} = v[{run_rst}]")
-                body.append(f"    _rb{run_rst} = _rr{run_rst}.any()")
-            body.append(f"    if _rb{run_rst}:")
-            body.extend(f"        {line}" for line in run_hot)
-            body.append("    else:")
-            body.extend(f"        {line}" for line in (run_cold or ["pass"]))
-            run_rst = None
-            run_hot.clear()
-            run_cold.clear()
+    def flush_run() -> None:
+        nonlocal run_rst
+        if run_rst is None:
+            return
+        if run_rst not in hoisted:
+            hoisted.add(run_rst)
+            body.append(f"    _rr{run_rst} = v[{run_rst}]")
+            body.append(f"    _rb{run_rst} = _rr{run_rst}.any()")
+        body.append(f"    if _rb{run_rst}:")
+        body.extend(f"        {line}" for line in run_hot)
+        body.append("    else:")
+        body.extend(f"        {line}" for line in (run_cold or ["pass"]))
+        run_rst = None
+        run_hot.clear()
+        run_cold.clear()
 
-        for i, (spec, ent) in enumerate(
-            zip(design.registers, reg_entries, strict=True)
-        ):
-            if reg_vec_ok[i]:
-                ridx = spec.reset_index
-                if ridx is None:
-                    flush_run()
-                    if spec.next_code is not None:
-                        body.append(f"    v[{spec.index}] = _t{i}")
-                    continue
-                if ridx in reg_rows:
-                    flush_run()
-                    if spec.next_code is not None:
-                        body.append(
-                            f"    v[{spec.index}] = _vsel(v[{ridx}], "
-                            f"({ent['init_v']}), _t{i})"
-                        )
-                    else:
-                        body.append(
-                            f"    v[{spec.index}] = _vsel(v[{ridx}], "
-                            f"({ent['init_v']}), v[{spec.index}])"
-                        )
-                    continue
-                if run_rst is not None and run_rst != ridx:
-                    flush_run()
-                run_rst = ridx
+    for i, spec in enumerate(design.registers):
+        if reg_vec_ok[i]:
+            ridx = spec.reset_index
+            if ridx is None:
+                flush_run()
                 if spec.next_code is not None:
-                    run_hot.append(
-                        f"v[{spec.index}] = _vsel(_rr{ridx}, "
-                        f"({ent['init_v']}), _t{i})"
+                    body.append(f"    v[{spec.index}] = _t{i}")
+                continue
+            init_v = init_vec[spec.index]
+            if ridx in reg_rows:
+                flush_run()
+                if spec.next_code is not None:
+                    body.append(
+                        f"    v[{spec.index}] = _vsel(v[{ridx}], "
+                        f"({init_v}), _t{i})"
                     )
-                    run_cold.append(f"v[{spec.index}] = _t{i}")
                 else:
-                    run_hot.append(
-                        f"v[{spec.index}] = _vsel(_rr{ridx}, "
-                        f"({ent['init_v']}), v[{spec.index}])"
+                    body.append(
+                        f"    v[{spec.index}] = _vsel(v[{ridx}], "
+                        f"({init_v}), v[{spec.index}])"
                     )
-            elif spec.next_code is not None:
+                continue
+            if run_rst is not None and run_rst != ridx:
                 flush_run()
-                body.append(f"    for _k in _RWL: _ss{i}(*_A[_k], _t{i}[_k])")
+            run_rst = ridx
+            if spec.next_code is not None:
+                run_hot.append(
+                    f"v[{spec.index}] = _vsel(_rr{ridx}, ({init_v}), _t{i})"
+                )
+                run_cold.append(f"v[{spec.index}] = _t{i}")
             else:
-                flush_run()
-                body.append(f"    for _k in _RWL: _ss{i}(*_A[_k])")
-        flush_run()
-        if len(body) == 1:
-            body.append("    pass")
-        return "\n".join(body)
-
-    vtick_source = build_tick("vtick", False)
-    vtick_journal_source = build_tick("vtick_journal", True)
+                run_hot.append(
+                    f"v[{spec.index}] = _vsel(_rr{ridx}, "
+                    f"({init_v}), v[{spec.index}])"
+                )
+        elif spec.next_code is not None:
+            flush_run()
+            body.append(f"    for _k in _RWL: _ss{i}(*_A[_k], _t{i}[_k])")
+        else:
+            flush_run()
+            body.append(f"    for _k in _RWL: _ss{i}(*_A[_k])")
+    flush_run()
+    if len(body) == 1:
+        body.append("    pass")
+    vtick_source = "\n".join(body)
 
     namespace = _vector_helpers(worlds)
     for value, cname in consts.items():
@@ -1769,19 +1619,13 @@ def compile_vector(design: CompiledDesign, worlds: int) -> VectorKernels:
         exec(compile("\n".join(sfn_src), "<repro-mw-scalar>", "exec"), namespace)
     exec(compile(vcomb_source, "<repro-mw-comb>", "exec"), namespace)
     exec(compile(vtick_source, "<repro-mw-tick>", "exec"), namespace)
-    exec(
-        compile(vtick_journal_source, "<repro-mw-tick-journal>", "exec"),
-        namespace,
-    )
 
     kernels = VectorKernels(
         worlds=worlds,
         vcomb=namespace["vcomb"],
         vtick=namespace["vtick"],
-        vtick_journal=namespace["vtick_journal"],
         vcomb_source=vcomb_source,
         vtick_source=vtick_source,
-        vtick_journal_source=vtick_journal_source,
         namespace=namespace,
         n_vector=n_vector,
         n_scalar=n_scalar,

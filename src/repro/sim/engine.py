@@ -145,9 +145,9 @@ class Simulator(SimulatorInterface):
         self._cb_list: tuple = ()
         self._next_cb_id = 1
         # Settle bookkeeping (fast path): pokes accumulate indices into
-        # `_dirty`, the activity-tracked tick accumulates changed registers
-        # into `_tick_changed` (plus `_tick_mem` when a memory write
-        # landed); `_settle` evaluates one merged cone for the union.  The
+        # `_dirty`, the tick reports changed registers into
+        # `_tick_changed` (plus `_tick_mem` when a memory write landed);
+        # `_settle` evaluates one merged cone for the union.  The
         # sets are mutated in place, never rebound — the step() loop holds
         # bound methods into them across callback-driven rewinds.
         self._pending_full = False   # full comb required (reference / rewind)
@@ -162,8 +162,8 @@ class Simulator(SimulatorInterface):
         self._stat_settle_seeds = 0
         self._stat_settle_tick = 0
         # Time travel: all history state (entry ring, delta baselines, the
-        # memory-write journal the generated journaling tick feeds) lives
-        # on the Timeline, bound to this simulator's store and memories.
+        # memory-write journal the tick feeds through its ``_jw`` argument)
+        # lives on the Timeline, bound to this simulator's store and memories.
         # A design whose memories exceed the timeline's word cap degrades
         # to register/input history with a one-time warning; a design with
         # no memories skips the journaling machinery entirely.
@@ -216,13 +216,14 @@ class Simulator(SimulatorInterface):
             out.append(text)
             print(text)
 
-        # The generated tick()'s namespace (shared with tick_journal) holds
-        # one _PrintfDispatcher per design; every simulator sharing the
-        # design routes through it.  Bind this simulator's sink now and at
-        # each step() entry — printf only fires inside tick, so the binding
-        # active during *this* simulator's step is always its own.
+        # The generated code's namespace holds one _PrintfDispatcher per
+        # design; every simulator sharing the design routes through it.
+        # Bind this simulator's sink now and at each step() entry — printf
+        # only fires inside tick, so the binding active during *this*
+        # simulator's step is always its own.  The namespace is read from
+        # the design, not from ``design.tick``, which a wrapper may replace.
         self._has_printf = bool(self.design.printf_specs)
-        namespace = self.design.tick.__globals__
+        namespace = self.design.namespace
         dispatcher = namespace.get("_pf")
         if not isinstance(dispatcher, _PrintfDispatcher):
             dispatcher = _PrintfDispatcher()
@@ -367,16 +368,11 @@ class Simulator(SimulatorInterface):
             # _PrintfDispatcher for why this happens per step.
             self._pf_dispatcher.bind(self._pf_sink)
         v, w, m = self._v, self._w, self.mems
-        design = self.design
         cb_list = self._cb_list
         timeline = self.timeline
         journal = timeline is not None and timeline.snap_mems
         fast = self._fast
-        tick = (
-            (design.tick_act_journal if journal else design.tick_act)
-            if fast
-            else (design.tick_journal if journal else design.tick)
-        )
+        tick = self.design.tick
         jw = timeline.mem_written.add if journal else None
         ch = self._tick_changed.add
         for _ in range(cycles):
@@ -395,21 +391,14 @@ class Simulator(SimulatorInterface):
             if timeline is not None:
                 timeline.record(self._time)
             try:
-                if fast:
-                    # The activity-tracked tick reports each changed
-                    # register via `ch` and returns truthy when a memory
-                    # word was written; the next settle re-evaluates just
-                    # that activity's merged cone.
-                    if journal:
-                        if tick(v, w, m, self._time, jw, ch):
-                            self._tick_mem = True
-                    elif tick(v, w, m, self._time, ch):
-                        self._tick_mem = True
-                elif journal:
-                    tick(v, w, m, self._time, jw)
-                    self._pending_full = True
-                else:
-                    tick(v, w, m, self._time)
+                # The tick reports each changed register via `ch` and
+                # returns truthy when a memory word was written; the fast
+                # path's next settle re-evaluates just that activity's
+                # merged cone, the reference path ignores it and re-runs
+                # the full comb.
+                if tick(v, w, m, self._time, jw, ch):
+                    self._tick_mem = True
+                if not fast:
                     self._pending_full = True
             except SimulationFinished as fin:
                 # Stops fire before any register/memory update, so the

@@ -274,11 +274,10 @@ class ManyWorldsSimulator(SimulatorInterface):
             ns["_pfv"], ns["_pfk"] = self._pf_bind
         t_start = perf_counter()
         v, w, m = self._matrix, self._w, self.mems
-        kern = self.kernels
         cb_list = self._cb_list
         timeline = self.timeline
         journal = timeline is not None and timeline.snap_mems
-        vtick = kern.vtick_journal if journal else kern.vtick
+        vtick = self.kernels.vtick
         jw = timeline.mem_written.add if journal else None
         act = self._active
         stop = self._on_stop
@@ -293,10 +292,7 @@ class ManyWorldsSimulator(SimulatorInterface):
                 self._settle()
             if timeline is not None:
                 timeline.record(self._time)
-            if journal:
-                vtick(v, w, m, self._time, act, stop, jw)
-            else:
-                vtick(v, w, m, self._time, act, stop)
+            vtick(v, w, m, self._time, act, stop, jw)
             self._pending = True
             self._time += 1
             self._stat_ticks += 1

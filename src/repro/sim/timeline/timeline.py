@@ -169,8 +169,9 @@ class Timeline(TimelineView):
     The timeline owns everything the engine's snapshot ring used to
     scatter across ``Simulator`` internals: the entry deque, the by-time
     index, the per-cycle delta baseline, and the memory-write journal the
-    generated journaling tick feeds (``mem_written`` — bound once and
-    mutated in place; generated code holds its ``add`` across rewinds).
+    generated tick feeds through its ``_jw`` argument (``mem_written`` —
+    bound once and mutated in place; the step loop holds its ``add``
+    across rewinds).
 
     Invariants:
 
@@ -224,7 +225,7 @@ class Timeline(TimelineView):
         self.keyframe_every = keyframe_every
         self.entries: deque[TimelineEntry] = deque()
         self.by_time: dict[int, TimelineEntry] = {}
-        #: Memory-write journal fed by the generated journaling tick.
+        #: Memory-write journal, fed by the generated tick's ``_jw``.
         #: Mutated in place, never rebound (bound ``add`` lives in the
         #: engine's step loop across rewinds).
         self.mem_written: set[tuple[int, int]] = set()

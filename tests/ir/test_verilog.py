@@ -184,6 +184,33 @@ class TestMatchesSimulator:
         assert got == 0x008005
         assert "{{{8{1'b0}}, a}, b}" in v
 
+    def test_add_keeps_its_carry_inside_cat(self):
+        class M(hgf.Module):
+            def __init__(self):
+                super().__init__()
+                self.a = self.input("a", 8)
+                self.b = self.input("b", 8)
+                self.c = self.input("c", 4)
+                self.o = self.output("o", 13)
+                self.o <<= (self.a + self.b).cat(self.c)
+
+        got, v = self._run(M(), a=0xFF, b=0x01, c=0x3)
+        assert got == 0x1003
+        assert "{((a + b) + 9'd0), c}" in v
+
+    def test_shl_keeps_its_width_inside_cat(self):
+        class M(hgf.Module):
+            def __init__(self):
+                super().__init__()
+                self.a = self.input("a", 4)
+                self.c = self.input("c", 4)
+                self.o = self.output("o", 10)
+                self.o <<= (self.a << 2).cat(self.c)
+
+        got, v = self._run(M(), a=0xF, c=0x1)
+        assert got == 0x3C1
+        assert "{((a << 2) + 6'd0), c}" in v
+
     def test_slice_of_pad_reads_the_extension(self):
         class M(hgf.Module):
             def __init__(self):

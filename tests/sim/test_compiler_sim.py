@@ -162,7 +162,7 @@ class TestGeneratedSource:
         d = repro.compile(Counter())
         cd = compile_design(d.low)
         assert "def comb(v, w, m):" in cd.comb_source
-        assert "def tick(v, w, m, time):" in cd.tick_source
+        assert "def tick(v, w, m, time, _jw, _ch):" in cd.tick_source
 
     def test_instance_port_wiring(self):
         from tests.helpers import TwoLeaves

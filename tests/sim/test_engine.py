@@ -1,11 +1,14 @@
 """Simulator engine tests: stepping, reset, callbacks, snapshots."""
 
+import functools
+
 import pytest
 
 import repro
 import repro.hgf as hgf
 from repro.options import SessionOptions
 from repro.sim import Simulator, SimulatorError
+from repro.sim.compiler import compile_design
 from tests.helpers import Accumulator, Counter
 
 
@@ -204,6 +207,35 @@ class TestHierarchyInterface:
         sim.poke("en", 1)
         sim.step(2)
         assert sim.get_value("TB.dut.out") == 2
+
+
+class TestPrintfRouting:
+    def test_printf_reaches_the_sink_through_a_wrapped_tick(self):
+        """A wrapper around ``design.tick`` (a tracer's span, say) lives in
+        another module; the printf dispatcher must still be installed in
+        the generated code's namespace, not in the wrapper's."""
+
+        class M(hgf.Module):
+            def __init__(self):
+                super().__init__()
+                self.a = self.input("a", 8)
+                self.o = self.output("o", 8)
+                self.o <<= self.a
+                self.printf(self.a == 3, "a is {}", self.a)
+
+        d = repro.compile(M())
+        design = compile_design(d.low)
+        tick = design.tick
+
+        @functools.wraps(tick)
+        def traced(*args, **kwargs):
+            return tick(*args, **kwargs)
+
+        design.tick = traced
+        sim = Simulator(d.low, compiled=design)
+        sim.poke("a", 3)
+        sim.step()
+        assert sim.printf_output == ["a is 3"]
 
 
 class TestRunAndStop:

@@ -282,7 +282,7 @@ def test_rewind_across_keyframe_boundary(kind, mod_cls):
 @pytest.mark.parametrize("kind", BACKENDS)
 def test_snapshot_skips_mem_copy_when_no_memories(kind):
     """Bugfix: designs without memories must not pay for (empty) memory
-    keyframes or the journaling tick variant."""
+    keyframes or a memory-write journal."""
     d = repro.compile(Counter())
     sim = Simulator(d.low, options=SessionOptions(snapshots=8, store=kind))
     assert sim.timeline.snap_mems is False
